@@ -7,136 +7,12 @@ fixed-point classification (classify), and orbit-based dynamics
 (orbit).  The qmobius console script in cli exposes all of it.
 """
 
-from .padic import (
-    FactorizationError,
-    NormValue,
-    PAdicDigits,
-    PLUS_INFINITY,
-    Place,
-    exact_sqrt,
-    factor_int,
-    format_rational,
-    in_closed_ball,
-    is_prime,
-    norm,
-    on_sphere,
-    padic_expand,
-    parse_rational,
-    principal_profile,
-    vp,
-)
-from .mobius import (
-    CASE_TAGS,
-    INFINITY,
-    FamilyParameter,
-    FixedPointResult,
-    Infinity,
-    IrrationalPair,
-    Mat2,
-    MobiusMap,
-    ProjectivePoint,
-    RationalDouble,
-    RationalPair,
-    case_A,
-    case_B,
-    case_C,
-    case_C_sub,
-    case_D,
-    case_D_sub,
-    closed_iterate,
-    cross_ratio,
-    detect_period,
-    format_point,
-    from_parameter,
-    pair_relations,
-    parse_map,
-    parse_point,
-)
-from .classify import (
-    AdelicReport,
-    PlaceReport,
-    SiegelRadius,
-    Verdict,
-    adelic_report,
-    check_adelic_image,
-    classify_at,
-    exceptional_primes,
-    in_named_family,
-    siegel_radius,
-)
-from .orbit import (
-    BasinPoint,
-    BasinSample,
-    DistanceTrace,
-    OrbitRecord,
-    SizeBudgetError,
-    basin_sample,
-    distance_trace,
-    invariant_sphere_check,
-    run_orbit,
-)
+from . import classify, mobius, orbit, padic
+from .classify import *
+from .mobius import *
+from .orbit import *
+from .padic import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdelicReport",
-    "BasinPoint",
-    "BasinSample",
-    "CASE_TAGS",
-    "DistanceTrace",
-    "FactorizationError",
-    "FamilyParameter",
-    "FixedPointResult",
-    "INFINITY",
-    "Infinity",
-    "IrrationalPair",
-    "Mat2",
-    "MobiusMap",
-    "NormValue",
-    "OrbitRecord",
-    "PAdicDigits",
-    "PLUS_INFINITY",
-    "Place",
-    "PlaceReport",
-    "ProjectivePoint",
-    "RationalDouble",
-    "RationalPair",
-    "SiegelRadius",
-    "SizeBudgetError",
-    "Verdict",
-    "adelic_report",
-    "basin_sample",
-    "case_A",
-    "case_B",
-    "case_C",
-    "case_C_sub",
-    "case_D",
-    "case_D_sub",
-    "check_adelic_image",
-    "classify_at",
-    "closed_iterate",
-    "cross_ratio",
-    "detect_period",
-    "distance_trace",
-    "exact_sqrt",
-    "exceptional_primes",
-    "factor_int",
-    "format_point",
-    "format_rational",
-    "from_parameter",
-    "in_closed_ball",
-    "in_named_family",
-    "invariant_sphere_check",
-    "is_prime",
-    "norm",
-    "on_sphere",
-    "padic_expand",
-    "pair_relations",
-    "parse_map",
-    "parse_point",
-    "parse_rational",
-    "principal_profile",
-    "run_orbit",
-    "siegel_radius",
-    "vp",
-]
+__all__ = padic.__all__ + mobius.__all__ + classify.__all__ + orbit.__all__

@@ -133,8 +133,7 @@ def classify_at(f: MobiusMap, xi: Fraction, place: Place) -> PlaceReport:
     >>> classify_at(f, Fraction(0), Place.finite(2)).verdict.value
     'attractor'
     """
-    if not f.is_fixed(xi):
-        raise ValueError(f"not a fixed point: f({format_rational(xi)}) != {format_rational(xi)}")
+    f.require_fixed(xi)
     derivative_norm = norm(f.derivative_at(xi), place)
     return PlaceReport(place, derivative_norm, _verdict_of(derivative_norm))
 
@@ -147,8 +146,7 @@ def exceptional_primes(f: MobiusMap, xi: Fraction) -> list[PlaceReport]:
     complete list.  A fixed point is never the pole, hence c*xi + d is
     never zero here.
     """
-    if not f.is_fixed(xi):
-        raise ValueError(f"not a fixed point: f({format_rational(xi)}) != {format_rational(xi)}")
+    f.require_fixed(xi)
     profile = principal_profile(f.c * xi + f.d, nonzero=True)
     reports = []
     for p in sorted(profile):

@@ -49,19 +49,6 @@ from .padic import FactorizationError, Place, format_rational, parse_rational
 
 __all__ = ["main", "run"]
 
-_COMMANDS = (
-    "fixed-points",
-    "classify",
-    "orbit",
-    "trace",
-    "sphere-check",
-    "basin",
-    "period",
-    "cross-ratio",
-    "generate",
-    "preset",
-)
-
 
 def _parse_place(text: str) -> Place:
     text = text.strip()
@@ -220,27 +207,21 @@ def _require(args: argparse.Namespace, case: str, names: tuple[str, ...]) -> lis
 
 
 def _cmd_preset(args: argparse.Namespace) -> dict:
-    case = args.case
-    if case == "A":
-        a, c = _require(args, case, ("a", "c"))
-        f = case_A(parse_rational(a), parse_rational(c))
-    elif case == "B":
-        (t,) = _require(args, case, ("t",))
-        f = case_B(parse_rational(t))
-    elif case == "C":
-        a, c = _require(args, case, ("a", "c"))
-        f = case_C(parse_rational(a), parse_rational(c))
-    elif case == "C2":
-        (c,) = _require(args, case, ("c",))
-        f = case_C_sub(parse_rational(c), args.sign)
-    elif case == "D":
-        a, c = _require(args, case, ("a", "c"))
-        f = case_D(parse_rational(a), parse_rational(c))
-    else:  # D2; argparse choices exclude anything else
-        (c,) = _require(args, case, ("c",))
-        f = case_D_sub(parse_rational(c), args.sign)
-    return {"case": case, "map": str(f), "fixed_points": _fixed_points_payload(f)}
+    names, build = _PRESETS[args.case]
+    values = [parse_rational(v) for v in _require(args, args.case, names)]
+    f = build(*values, args.sign)
+    return {"case": args.case, "map": str(f), "fixed_points": _fixed_points_payload(f)}
 
+
+# case -> (flags the family needs, constructor called with them and --sign)
+_PRESETS = {
+    "A": (("a", "c"), lambda a, c, sign: case_A(a, c)),
+    "B": (("t",), lambda t, sign: case_B(t)),
+    "C": (("a", "c"), lambda a, c, sign: case_C(a, c)),
+    "C2": (("c",), case_C_sub),
+    "D": (("a", "c"), lambda a, c, sign: case_D(a, c)),
+    "D2": (("c",), case_D_sub),
+}
 
 _HANDLERS = {
     "fixed-points": _cmd_fixed_points,
@@ -335,7 +316,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c", required=True, help="free coefficient c, nonzero")
 
     p = add("preset", "one of the named families")
-    p.add_argument("--case", required=True, choices=("A", "B", "C", "C2", "D", "D2"))
+    p.add_argument("--case", required=True, choices=tuple(_PRESETS))
     p.add_argument("--a", help="coefficient a (cases A, C, D)")
     p.add_argument("--c", help="coefficient c (all but B)")
     p.add_argument("--t", help="parameter t (case B)")
@@ -386,12 +367,11 @@ def render_table(payload: dict) -> str:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     first_positional = next((a for a in argv if not a.startswith("-")), None)
-    if first_positional is None and not any(a in ("-h", "--help") for a in argv):
-        print("usage: qmobius <command> [options]; commands: " + ", ".join(_COMMANDS), file=sys.stderr)
-        return 64
-    if first_positional is not None and first_positional not in _COMMANDS:
-        print(f"unknown command: {first_positional!r}", file=sys.stderr)
-        print("usage: qmobius <command> [options]; commands: " + ", ".join(_COMMANDS), file=sys.stderr)
+    asks_help = first_positional is None and any(a in ("-h", "--help") for a in argv)
+    if first_positional not in _HANDLERS and not asks_help:
+        if first_positional is not None:
+            print(f"unknown command: {first_positional!r}", file=sys.stderr)
+        print("usage: qmobius <command> [options]; commands: " + ", ".join(_HANDLERS), file=sys.stderr)
         return 64
 
     parser = _build_parser()

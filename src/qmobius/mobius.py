@@ -210,8 +210,10 @@ class MobiusMap:
             (self.a - self.d - root) / (2 * self.c),
         )
 
-    def is_fixed(self, x: Fraction) -> bool:
-        return self.apply(x) == x
+    def require_fixed(self, x: Fraction) -> None:
+        """Raise ValueError unless f(x) == x."""
+        if self.apply(x) != x:
+            raise ValueError(f"not a fixed point: f({format_rational(x)}) != {format_rational(x)}")
 
     def __str__(self) -> str:
         return ",".join(format_rational(t) for t in (self.a, self.b, self.c, self.d))
@@ -251,13 +253,16 @@ FixedPointResult = RationalPair | RationalDouble | IrrationalPair
 
 
 def pair_relations(f: MobiusMap, r: RationalPair) -> tuple[Fraction, Fraction]:
-    """(product of fixed points, product of derivatives) = (-b/c, 1), exact."""
+    """(product of fixed points, product of derivatives) = (-b/c, 1), exact.
+
+    Raises ValueError when r is not the fixed-point pair of f.
+    """
     if not isinstance(r, RationalPair):
         raise TypeError(f"pair relations need a RationalPair: got {type(r).__name__}")
     point_product = r.point1 * r.point2
     deriv_product = f.derivative_at(r.point1) * f.derivative_at(r.point2)
-    assert point_product == -f.b / f.c
-    assert deriv_product == 1
+    if point_product != -f.b / f.c or deriv_product != 1:
+        raise ValueError(f"({r.point1}, {r.point2}) are not the fixed points of {f}")
     return point_product, deriv_product
 
 
@@ -377,31 +382,23 @@ def _check_case(tag: str, f: MobiusMap) -> None:
 def closed_iterate(tag: str, f: MobiusMap, x0: Fraction, n: int) -> ProjectivePoint:
     """Explicit n-th iterate of the four fused-fixed-point families.
 
-    Evaluates the closed-form formula for x_n exactly; a vanishing
-    denominator is the point at infinity.  The map must actually satisfy
+    Each family has trace +-2, so xi = (a-d)/(2c) is its fused fixed point
+    and c*xi + d = +-1.  From f(x) - xi = (x - xi)/((c*xi+d)(cx+d)),
+    u = 1/(x - xi) moves by c/(c*xi + d) at each step on the whole
+    projective line (x = xi is u = inf, x = inf is u = 0), so
+    1/(x_n - xi) = 1/(x0 - xi) + n*c/(c*xi + d).  The map must satisfy
     the tagged case's defining coefficient constraints.
     """
     _check_case(tag, f)
     if n < 1:
         raise ValueError(f"iterate count must be >= 1: got {n}")
-    a, b, c = f.a, f.b, f.c
-    if tag == "C":
-        num = (n * a - n + 1) * x0 + n * b
-        den = n * c * x0 - n * a + n + 1
-    elif tag == "C_sub":
-        num = (a + (n - 1) * c) * x0 - n * c
-        den = n * c * x0 + a - (n + 1) * c
-    elif tag == "D":
-        # The printed formula carries a global (-1)**(n+1) factor that
-        # cancels between numerator and denominator.
-        num = (n * (a + 1) - 1) * x0 + n * b
-        den = n * c * x0 - (n * (a + 1) + 1)
-    else:  # D_sub
-        num = (a - (n - 1) * c) * x0 - n * c
-        den = n * c * x0 + a + (n + 1) * c
-    if den == 0:
+    xi = (f.a - f.d) / (2 * f.c)
+    if x0 == xi:
+        return xi
+    u = 1 / (x0 - xi) + n * f.c / (f.c * xi + f.d)
+    if u == 0:
         return INFINITY
-    return num / den
+    return xi + 1 / u
 
 
 def cross_ratio(
@@ -435,15 +432,15 @@ def cross_ratio(
 def detect_period(f: MobiusMap, k_max: int) -> int | None:
     """Smallest k <= k_max with F**k scalar (projectively the identity), else None.
 
-    Scalar rather than literal identity: det = 1 forces F**k = -I for the
-    odd half of the finite-order conjugacy classes, and -I acts trivially
-    on the projective line.
+    The order follows from the trace t = a + d.  By Cayley-Hamilton
+    F**2 = t*F - I, so t = 0 gives F**2 = -I and t = +-1 gives F**3 = -+I;
+    F is not scalar since c != 0, nor is F**2 = t*F - I when t != 0.
+    Conversely, if F**k = +-I the eigenvalues of F are roots of unity, so
+    t is a rational algebraic integer with |t| <= 2; and t = +-2 makes
+    F = +-(I + N) with N != 0 nilpotent, so F**k = (+-1)**k (I + kN) is
+    never scalar.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1: got {k_max}")
-    m = f.matrix()
-    for k in range(1, k_max + 1):
-        if m.is_scalar:
-            return k
-        m = m @ f.matrix()
-    return None
+    order = {0: 2, 1: 3, -1: 3}.get(f.a + f.d)
+    return order if order is not None and order <= k_max else None

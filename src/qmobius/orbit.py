@@ -160,11 +160,6 @@ def run_orbit(
     return OrbitRecord(initial=x0, points=tuple(points), length=n)
 
 
-def _require_fixed(f: MobiusMap, xi: Fraction) -> None:
-    if not f.is_fixed(xi):
-        raise ValueError(f"not a fixed point: f({format_rational(xi)}) != {format_rational(xi)}")
-
-
 def distance_trace(
     f: MobiusMap,
     x0: ProjectivePoint,
@@ -174,7 +169,7 @@ def distance_trace(
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> DistanceTrace:
     """Exact |x_k - xi|_v for k = 0..n; xi must be a fixed point of f."""
-    _require_fixed(f, xi)
+    f.require_fixed(xi)
     orbit = run_orbit(f, x0, n, max_bits=max_bits)
     values = tuple(
         None if isinstance(x, Infinity) else norm(x - xi, place) for x in orbit.points
@@ -201,7 +196,7 @@ def invariant_sphere_check(
     indifferent fixed points; around an attractor or repeller the first
     step already leaves the sphere and is duly reported.
     """
-    _require_fixed(f, xi)
+    f.require_fixed(xi)
     place = Place.finite(p)
     if samples < 1:
         raise ValueError(f"need at least one sample: got {samples}")

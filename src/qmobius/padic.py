@@ -284,9 +284,10 @@ def on_sphere(x: Fraction, center: Fraction, radius_exponent: int, p: int) -> bo
 def factor_int(n: int) -> dict[int, int]:
     """Factor |n| into primes: trial division to 1e6, then one primality test.
 
-    A composite cofactor beyond the trial bound raises FactorizationError
-    rather than returning a partial answer: downstream "all but finitely
-    many places" reports must never rest on a scan cutoff.
+    A composite cofactor beyond the trial bound, or a cofactor too large
+    for the proven primality test, raises FactorizationError rather than
+    returning a partial answer: downstream "all but finitely many places"
+    reports must never rest on a scan cutoff.
     """
     n = abs(n)
     if n == 0:
@@ -305,6 +306,10 @@ def factor_int(n: int) -> dict[int, int]:
                 factors[step] = v
                 n //= step**v
         q += 6
+    if n >= _MR_PROVEN_BOUND:
+        raise FactorizationError(
+            f"factorization exceeded bound: cofactor {n} is past the proven primality bound"
+        )
     if n > 1:
         if not is_prime(n):
             raise FactorizationError(

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from qmobius.cli import main, render_table
+from qmobius.cli import _HANDLERS, main, render_table
 from qmobius.padic import format_rational, parse_rational
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -101,6 +101,13 @@ def test_exit_code_missing_command(capsys):
     assert "usage" in err
 
 
+@pytest.mark.parametrize("argv", [[], ["frobnicate"]])
+def test_usage_names_every_command(capsys, argv):
+    _, _, err = run_cli(capsys, argv)
+    usage = err.splitlines()[-1]
+    assert usage.split("commands: ")[1].split(", ") == list(_HANDLERS)
+
+
 def test_exit_code_invalid_map(capsys):
     code, _, err = run_cli(capsys, ["classify", "--map", "2,0,1,1"])
     assert code == 2
@@ -126,6 +133,14 @@ def test_exit_code_size_budget(capsys):
     )
     assert code == 3
     assert "size budget" in err
+
+
+def test_exit_code_unprovable_prime_cofactor(capsys):
+    # c*xi + d = 2**89 - 1 at xi = 0: prime, but past the proven primality bound
+    p = 2**89 - 1
+    code, _, err = run_cli(capsys, ["classify", "--map", f"1/{p},0,1,{p}"])
+    assert code == 3
+    assert "factorization" in err
 
 
 def test_exit_code_irrational_fixed_points(capsys):

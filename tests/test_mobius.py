@@ -1,5 +1,6 @@
 """Tests for map construction, iteration algebra and the named families."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -139,6 +140,11 @@ def test_pair_relations_rejects_double():
         pair_relations(f, f.fixed_points())
 
 
+def test_pair_relations_rejects_wrong_pair():
+    with pytest.raises(ValueError, match="not the fixed points"):
+        pair_relations(std_map(), RationalPair(F(1), F(2)))
+
+
 @given(parameters)
 def test_from_parameter_has_rational_fixed_points(fp):
     """The parametrization sweeps exactly the maps solvable over Q."""
@@ -218,6 +224,28 @@ def test_closed_iterate_checks_tag():
         closed_iterate("D", f, F(2), 1)
 
 
+FUSED = {
+    "C": case_C(F(2), F(3)),
+    "C_sub": case_C_sub(F(3), -1),
+    "D": case_D(F(-2, 5), F(3, 7)),
+    "D_sub": case_D_sub(F(3), 1),
+}
+
+
+@pytest.mark.parametrize("tag", CASE_TAGS)
+def test_closed_iterate_at_fixed_point_and_pole(tag):
+    f = FUSED[tag]
+    xi = f.fixed_points().point
+    pole = -f.d / f.c
+    for n in range(1, 6):
+        assert closed_iterate(tag, f, xi, n) == xi
+    assert closed_iterate(tag, f, pole, 1) is INFINITY
+    x = INFINITY
+    for n in range(2, 6):
+        x = f.apply(x)
+        assert closed_iterate(tag, f, pole, n) == x
+
+
 def test_cross_ratio_worked_values():
     assert cross_ratio(F(0), F(1), F(2), F(3)) == F(4, 3)
     assert cross_ratio(INFINITY, F(1), F(2), F(3)) == F(2)
@@ -255,6 +283,59 @@ def test_detect_period_order_six_via_minus_identity():
     # trace 1: F^3 = -I, scalar, so the projective period is 3
     f = MobiusMap.make(0, -1, 1, 1)
     assert detect_period(f, 10) == 3
+
+
+def test_detect_period_order_three_beyond_k_max():
+    assert detect_period(MobiusMap.make(0, -1, 1, -1), 2) is None
+
+
+def period_by_powers(f, k_max):
+    """Reference: multiply F by itself until the product is scalar."""
+    m = f.matrix()
+    for k in range(1, k_max + 1):
+        if m.is_scalar:
+            return k
+        m = m @ f.matrix()
+    return None
+
+
+def random_rational(rng, nonzero=False):
+    num = rng.randint(-50, 50)
+    while nonzero and num == 0:
+        num = rng.randint(-50, 50)
+    return F(num, rng.randint(1, 50))
+
+
+def maps_with_trace(trace, rng, count):
+    """(trace, -1, 1, 0) plus seeded maps with a, c random and d = trace - a."""
+    maps = [MobiusMap(trace, F(-1), F(1), F(0))]
+    for _ in range(count):
+        a, c = random_rational(rng), random_rational(rng, nonzero=True)
+        d = trace - a
+        maps.append(MobiusMap(a, (a * d - 1) / c, c, d))
+    return maps
+
+
+PERIOD_K_MAXES = (1, 2, 3, 24)
+
+
+@pytest.mark.parametrize("trace", [F(0), F(1), F(-1), F(2), F(-2), F(1, 2), F(3)])
+def test_detect_period_matches_matrix_powers(trace):
+    for f in maps_with_trace(trace, random.Random(0), 20):
+        for k_max in PERIOD_K_MAXES:
+            assert detect_period(f, k_max) == period_by_powers(f, k_max)
+
+
+def test_detect_period_matches_matrix_powers_on_family_maps():
+    rng = random.Random(1)
+    for _ in range(50):
+        t = random_rational(rng)
+        if t in (1, -1):
+            continue
+        fp = FamilyParameter(t, rng.choice((1, -1)), random_rational(rng), random_rational(rng, nonzero=True))
+        f = from_parameter(fp)
+        for k_max in PERIOD_K_MAXES:
+            assert detect_period(f, k_max) == period_by_powers(f, k_max)
 
 
 def test_parse_map():

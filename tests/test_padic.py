@@ -177,6 +177,12 @@ def test_factor_int_composite_cofactor_fails():
         factor_int(p * p)
 
 
+def test_factor_int_cofactor_past_proven_bound_fails():
+    # 2**89 - 1 is prime, but above the bound where Miller-Rabin is proven
+    with pytest.raises(FactorizationError):
+        factor_int(2**89 - 1)
+
+
 def test_principal_profile():
     assert principal_profile(Fraction(4, 3)) == {2: 2, 3: -1}
     assert principal_profile(Fraction(1)) == {}

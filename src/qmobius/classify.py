@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .mobius import Infinity, IrrationalPair, MobiusMap, RationalDouble
-from .padic import NormValue, Place, format_rational, norm, principal_profile, vp
+from .padic import NormValue, Place, norm, principal_profile, vp
 
 __all__ = [
     "AdelicReport",
@@ -90,7 +90,7 @@ class AdelicReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "fixed_point": format_rational(self.fixed_point),
+            "fixed_point": str(self.fixed_point),
             "real": str(self.real_report.verdict),
             "exceptional": [
                 {
@@ -213,7 +213,7 @@ def check_adelic_image(f: MobiusMap, x: Fraction) -> list[int]:
     """
     image = f.apply(x)
     if isinstance(image, Infinity):
-        raise ValueError(f"image of the pole x = {format_rational(x)} is the point at infinity")
+        raise ValueError(f"image of the pole x = {x} is the point at infinity")
     if image == 0:
         return []
     return sorted(p for p, v in principal_profile(image).items() if v < 0)

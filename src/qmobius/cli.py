@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .classify import adelic_report, classify_at, siegel_radius
 from .mobius import (
@@ -45,7 +44,7 @@ from .orbit import (
     invariant_sphere_check,
     run_orbit,
 )
-from .padic import FactorizationError, Place, format_rational, parse_rational
+from .padic import FactorizationError, Place, parse_rational
 
 __all__ = ["main", "run"]
 
@@ -66,12 +65,12 @@ def _fixed_points_payload(f: MobiusMap) -> dict:
     if isinstance(result, RationalPair):
         return {
             "kind": "pair",
-            "points": [format_rational(result.point1), format_rational(result.point2)],
+            "points": [str(result.point1), str(result.point2)],
         }
     if isinstance(result, RationalDouble):
-        return {"kind": "double", "point": format_rational(result.point)}
+        return {"kind": "double", "point": str(result.point)}
     assert isinstance(result, IrrationalPair)
-    return {"kind": "irrational", "discriminant": format_rational(result.discriminant)}
+    return {"kind": "irrational", "discriminant": str(result.discriminant)}
 
 
 def _cmd_fixed_points(args: argparse.Namespace) -> dict:
@@ -93,7 +92,7 @@ def _cmd_classify(args: argparse.Namespace) -> dict:
         r = classify_at(f, xi, place)
         reports.append(
             {
-                "fixed_point": format_rational(xi),
+                "fixed_point": str(xi),
                 "verdict": str(r.verdict),
                 "derivative_norm": str(r.derivative_norm),
             }
@@ -129,7 +128,7 @@ def _cmd_sphere_check(args: argparse.Namespace) -> dict:
     )
     payload = {
         "map": str(f),
-        "xi": format_rational(xi),
+        "xi": str(xi),
         "p": args.p,
         "rho_exponent": args.rho_exp,
         "samples": args.samples,
@@ -141,7 +140,7 @@ def _cmd_sphere_check(args: argparse.Namespace) -> dict:
         payload["siegel_exponent"] = radius.radius_exponent
         payload["siegel_caveat"] = radius.caveat
     payload["witness"] = (
-        None if witness is None else {"x0": format_rational(witness[0]), "step": witness[1]}
+        None if witness is None else {"x0": str(witness[0]), "step": witness[1]}
     )
     return payload
 
@@ -150,18 +149,7 @@ def _cmd_basin(args: argparse.Namespace) -> dict:
     f = parse_map(args.map)
     place = _parse_place(args.place)
     grid = [parse_rational(t) for t in args.grid.split(",")]
-    threshold: int | Fraction | None = None
-    if args.threshold is not None:
-        threshold = parse_rational(args.threshold) if place.is_real else int(args.threshold)
-    sample = basin_sample(
-        f,
-        parse_rational(args.xi),
-        place,
-        grid,
-        n=args.n,
-        threshold=threshold,
-        max_bits=args.max_bits,
-    )
+    sample = basin_sample(f, parse_rational(args.xi), place, grid, n=args.n, max_bits=args.max_bits)
     return {"map": str(f), "n": args.n, **sample.to_json_dict()}
 
 
@@ -178,7 +166,7 @@ def _cmd_cross_ratio(args: argparse.Namespace) -> dict:
     value = cross_ratio(*points)
     return {
         "points": [format_point(x) for x in points],
-        "value": format_rational(value),
+        "value": str(value),
     }
 
 
@@ -191,7 +179,7 @@ def _cmd_generate(args: argparse.Namespace) -> dict:
     )
     f = from_parameter(fp)
     return {
-        "t": format_rational(fp.t),
+        "t": str(fp.t),
         "sign": fp.sign,
         "map": str(f),
         "fixed_points": _fixed_points_payload(f),
@@ -296,10 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--place", required=True, help="real or a prime")
     p.add_argument("--grid", required=True, help="comma-separated initial points")
     p.add_argument("--n", type=int, default=100, help="steps (default %(default)s)")
-    p.add_argument(
-        "--threshold",
-        help="convergence threshold: valuation gain at a finite place, distance at the real place",
-    )
     add_budget(p)
 
     p = add("period", "smallest k with f**k = identity on the projective line")

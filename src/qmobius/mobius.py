@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .padic import exact_sqrt, format_rational, parse_rational
+from .padic import exact_sqrt, parse_rational
 
 __all__ = [
     "INFINITY",
@@ -73,7 +73,7 @@ def parse_point(text: str) -> ProjectivePoint:
 
 
 def format_point(x: ProjectivePoint) -> str:
-    return "inf" if isinstance(x, Infinity) else format_rational(x)
+    return "inf" if isinstance(x, Infinity) else str(x)
 
 
 @dataclass(frozen=True)
@@ -213,10 +213,10 @@ class MobiusMap:
     def require_fixed(self, x: Fraction) -> None:
         """Raise ValueError unless f(x) == x."""
         if self.apply(x) != x:
-            raise ValueError(f"not a fixed point: f({format_rational(x)}) != {format_rational(x)}")
+            raise ValueError(f"not a fixed point: f({x}) != {x}")
 
     def __str__(self) -> str:
-        return ",".join(format_rational(t) for t in (self.a, self.b, self.c, self.d))
+        return ",".join(str(t) for t in (self.a, self.b, self.c, self.d))
 
 
 def parse_map(text: str) -> MobiusMap:
@@ -379,7 +379,7 @@ def _check_case(tag: str, f: MobiusMap) -> None:
         raise ValueError(f"map {f} does not satisfy the case {tag} constraints")
 
 
-def closed_iterate(tag: str, f: MobiusMap, x0: Fraction, n: int) -> ProjectivePoint:
+def closed_iterate(tag: str, f: MobiusMap, x0: ProjectivePoint, n: int) -> ProjectivePoint:
     """Explicit n-th iterate of the four fused-fixed-point families.
 
     Each family has trace +-2, so xi = (a-d)/(2c) is its fused fixed point
@@ -395,7 +395,7 @@ def closed_iterate(tag: str, f: MobiusMap, x0: Fraction, n: int) -> ProjectivePo
     xi = (f.a - f.d) / (2 * f.c)
     if x0 == xi:
         return xi
-    u = 1 / (x0 - xi) + n * f.c / (f.c * xi + f.d)
+    u = (0 if isinstance(x0, Infinity) else 1 / (x0 - xi)) + n * f.c / (f.c * xi + f.d)
     if u == 0:
         return INFINITY
     return xi + 1 / u

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .classify import Verdict, classify_at
 from .mobius import Infinity, MobiusMap, ProjectivePoint, format_point
-from .padic import NormValue, Place, format_rational, norm
+from .padic import NormValue, Place, norm, on_sphere, vp
 
 __all__ = [
     "BasinPoint",
@@ -77,11 +77,9 @@ class DistanceTrace:
     values: tuple[NormValue | None, ...]
 
     def to_json_dict(self) -> dict:
-        base = {"place": str(self.place), "center": format_rational(self.center)}
+        base = {"place": str(self.place), "center": str(self.center)}
         if self.place.is_real:
-            base["norms"] = [
-                None if v is None else format_rational(v.value) for v in self.values
-            ]
+            base["norms"] = [None if v is None else str(v.value) for v in self.values]
             return base
         valuations: list[int | str | None] = []
         for v in self.values:
@@ -117,10 +115,10 @@ class BasinSample:
     def to_json_dict(self) -> dict:
         return {
             "place": str(self.place),
-            "attractor": format_rational(self.attractor),
+            "attractor": str(self.attractor),
             "tested": [
                 {
-                    "x0": format_rational(t.initial),
+                    "x0": str(t.initial),
                     "converged": t.converged,
                     "steps_observed": t.steps_observed,
                     "hit_pole": t.hit_pole,
@@ -190,68 +188,26 @@ def invariant_sphere_check(
 
     Initial points xi + s*p**(-rho_exponent) for units s = 1, ...,
     min(samples, p-1) lie on the sphere by construction; each orbit is
-    followed for n steps and every exact distance compared against the
-    sphere value.  Returns (True, None) when all stay put, otherwise
-    (False, (x0, k)) for the first departing sample and step.  Meant for
-    indifferent fixed points; around an attractor or repeller the first
-    step already leaves the sphere and is duly reported.
+    followed for n steps and every iterate tested with ``on_sphere``.
+    Returns (True, None) when all stay put, otherwise (False, (x0, k))
+    for the first departing sample and step.  Meant for indifferent
+    fixed points, though not every sphere around a repeller is left: by
+    f(x) - xi = (x - xi)/((c*xi + d)(cx + d)), when vp(c*xi + d) > 0
+    every step stays on the sphere of exponent vp(c) + vp(c*xi + d).
+    For 2,0,1,1/2 at p = 2 the repeller xi = 3/2 keeps its sphere of
+    exponent 1, while those of exponents 0 and 2 are left at step 1.
     """
     f.require_fixed(xi)
-    place = Place.finite(p)
+    Place.finite(p)  # rejects a non-prime p
     if samples < 1:
         raise ValueError(f"need at least one sample: got {samples}")
     step = Fraction(p) ** (-rho_exponent)
     for s in range(1, min(samples, p - 1) + 1):
         x0 = xi + s * step
-        trace = distance_trace(f, x0, xi, place, n, max_bits=max_bits)
-        for k, value in enumerate(trace.values):
-            if value is None or value.is_zero or value.exponent != rho_exponent:
+        for k, x in enumerate(run_orbit(f, x0, n, max_bits=max_bits).points):
+            if isinstance(x, Infinity) or not on_sphere(x, xi, rho_exponent, p):
                 return False, (x0, k)
     return True, None
-
-
-def _split_pole_tail(
-    points: tuple[ProjectivePoint, ...],
-) -> tuple[list[Fraction], int, bool]:
-    """Finite points after the last pole passage, their offset, pole flag."""
-    last_inf = -1
-    for i, x in enumerate(points):
-        if isinstance(x, Infinity):
-            last_inf = i
-    tail = [x for x in points[last_inf + 1 :]]
-    return tail, last_inf + 1, last_inf >= 0
-
-
-def _judge_real(
-    tail: list[Fraction], xi: Fraction, threshold: Fraction
-) -> tuple[bool, int]:
-    distances = [abs(x - xi) for x in tail]
-    for k, d in enumerate(distances):
-        if d == 0:
-            return True, k
-    last = len(distances) - 1
-    first_below = next((k for k, d in enumerate(distances) if d < threshold), None)
-    quarter = 3 * last // 4
-    monotone = all(distances[k + 1] < distances[k] for k in range(quarter, last))
-    converged = distances[last] < threshold and monotone
-    return converged, first_below if first_below is not None else last
-
-
-def _judge_finite(
-    tail: list[Fraction], xi: Fraction, p: int, threshold: int
-) -> tuple[bool, int]:
-    place = Place.finite(p)
-    norms = [norm(x - xi, place) for x in tail]
-    for k, nv in enumerate(norms):
-        if nv.is_zero:
-            return True, k
-    w = [-nv.exponent for nv in norms]  # valuations of x_k - xi
-    last = len(w) - 1
-    first_gained = next((k for k in range(len(w)) if w[k] - w[0] >= threshold), None)
-    quarter = 3 * last // 4
-    monotone = all(w[k + 1] > w[k] for k in range(quarter, last))
-    converged = w[last] - w[0] >= threshold and monotone
-    return converged, first_gained if first_gained is not None else last
 
 
 def basin_sample(
@@ -260,34 +216,43 @@ def basin_sample(
     place: Place,
     grid: list[Fraction],
     n: int = 100,
-    threshold: int | Fraction | None = None,
     max_bits: int = DEFAULT_MAX_BITS,
 ) -> BasinSample:
     """Convergence verdict for each grid point toward the attractor xi.
 
-    At a finite place an orbit converges when the valuation of
-    x_k - xi strictly increases over the final quarter of the window
-    and gains at least ``threshold`` (default 20) overall; at the real
-    place when |x_n - xi| drops below ``threshold`` (default 1/10**6)
-    with strict decrease over the final quarter.  An orbit that passes
-    through the pole is marked and judged on its post-pole segment.
+    The grid point xi itself converges at step 0.  An orbit that passes
+    through the pole is marked and judged on its segment after the last
+    pole passage; one that ends at infinity has no segment and does not
+    converge.  The distance of x_k from xi is measured as |x_k - xi|
+    at the real place and as the exponent -vp(x_k - xi) of |x_k - xi|_p
+    at a finite one, and the orbit converges when the distance falls
+    strictly over the final quarter of the segment and its last point
+    meets the bound: |x_k - xi| < DEFAULT_REAL_THRESHOLD at the real
+    place, a drop of at least DEFAULT_VALUATION_GAIN below the first
+    exponent at a finite place.  steps_observed is where the bound is
+    first met (else the last step), counted from x_0.
     """
-    report = classify_at(f, xi, place)
-    if report.verdict is not Verdict.ATTRACTOR:
+    if classify_at(f, xi, place).verdict is not Verdict.ATTRACTOR:
         raise ValueError("basin undefined for non-attracting point")
-    if threshold is None:
-        threshold = DEFAULT_REAL_THRESHOLD if place.is_real else DEFAULT_VALUATION_GAIN
     tested = []
     for x0 in grid:
-        orbit = run_orbit(f, x0, n, max_bits=max_bits)
-        tail, offset, hit_pole = _split_pole_tail(orbit.points)
-        if not tail:
-            tested.append(BasinPoint(x0, False, n, hit_pole))
+        points = run_orbit(f, x0, n, max_bits=max_bits).points
+        if x0 == xi:  # f is a bijection fixing xi, so no other orbit reaches it
+            tested.append(BasinPoint(x0, True, 0, False))
             continue
-        if place.is_real:
-            converged, steps = _judge_real(tail, xi, Fraction(threshold))
-        else:
-            assert place.prime is not None
-            converged, steps = _judge_finite(tail, xi, place.prime, int(threshold))
-        tested.append(BasinPoint(x0, converged, offset + steps, hit_pole))
+        poles = [k for k, x in enumerate(points) if isinstance(x, Infinity)]
+        start = poles[-1] + 1 if poles else 0
+        tail = points[start:]
+        if not tail:  # the orbit ends at infinity
+            tested.append(BasinPoint(x0, False, n, True))
+            continue
+        if place.prime is None:
+            dist, bound = [abs(x - xi) for x in tail], DEFAULT_REAL_THRESHOLD
+        else:  # integer exponents: d < bound is a drop of at least the gain
+            dist = [-vp(x - xi, place.prime) for x in tail]
+            bound = dist[0] - DEFAULT_VALUATION_GAIN + 1
+        last = len(tail) - 1
+        falling = all(dist[k + 1] < dist[k] for k in range(3 * last // 4, last))
+        steps = next((k for k, d in enumerate(dist) if d < bound), last)
+        tested.append(BasinPoint(x0, dist[last] < bound and falling, start + steps, bool(poles)))
     return BasinSample(place=place, attractor=xi, tested=tuple(tested))

@@ -30,7 +30,6 @@ __all__ = [
     "Place",
     "exact_sqrt",
     "factor_int",
-    "format_rational",
     "in_closed_ball",
     "is_prime",
     "norm",
@@ -136,11 +135,6 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not a rational: {text!r}") from None
 
 
-def format_rational(x: Fraction) -> str:
-    """Canonical text form, the inverse of parse_rational."""
-    return str(x)
-
-
 def _vp_int(n: int, p: int) -> int:
     # n != 0
     v = 0
@@ -153,13 +147,16 @@ def _vp_int(n: int, p: int) -> int:
 def vp(x: Fraction | int, p: int) -> int | float:
     """p-adic valuation of x: the exponent of p in x, PLUS_INFINITY for 0.
 
-    p is assumed prime (Place construction is the validating entry point).
+    p is assumed prime (Place construction is the validating entry point);
+    p < 2 raises ValueError: stripping powers of 1 or -1 never ends.
 
     >>> vp(Fraction(4), 2)
     2
     >>> vp(Fraction(5, 12), 2)
     -2
     """
+    if p < 2:
+        raise ValueError(f"valuation needs a prime p >= 2: got {p}")
     x = Fraction(x)
     if x == 0:
         return PLUS_INFINITY

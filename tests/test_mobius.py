@@ -31,6 +31,7 @@ from qmobius.mobius import (
     parse_map,
     parse_point,
 )
+from qmobius.orbit import run_orbit
 
 F = Fraction
 
@@ -230,6 +231,14 @@ FUSED = {
     "D": case_D(F(-2, 5), F(3, 7)),
     "D_sub": case_D_sub(F(3), 1),
 }
+
+
+@pytest.mark.parametrize("tag", CASE_TAGS)
+def test_closed_iterate_from_infinity(tag):
+    """x0 = inf is u = 0 in the translation formula."""
+    f = FUSED[tag]
+    orbit = run_orbit(f, INFINITY, 8).points
+    assert [closed_iterate(tag, f, INFINITY, n) for n in range(1, 9)] == list(orbit[1:])
 
 
 @pytest.mark.parametrize("tag", CASE_TAGS)

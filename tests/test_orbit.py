@@ -3,17 +3,21 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from qmobius.mobius import FamilyParameter, Infinity, MobiusMap, case_C, from_parameter
+from qmobius.classify import Verdict, classify_at
+from qmobius.mobius import FamilyParameter, Infinity, MobiusMap, RationalPair, case_C, from_parameter
 from qmobius.orbit import (
+    DEFAULT_REAL_THRESHOLD,
+    DEFAULT_VALUATION_GAIN,
+    BasinPoint,
     SizeBudgetError,
     basin_sample,
     distance_trace,
     invariant_sphere_check,
     run_orbit,
 )
-from qmobius.padic import Place
+from qmobius.padic import Place, norm
 
 F = Fraction
 
@@ -116,6 +120,16 @@ def test_invariant_sphere_samples_stay_on_sphere():
     assert ok
 
 
+@pytest.mark.parametrize(
+    "rho_exponent, expected", [(0, (False, (F(5, 2), 1))), (1, (True, None)), (2, (False, (F(7, 4), 1)))]
+)
+def test_invariant_sphere_around_repeller(rho_exponent, expected):
+    """xi = 3/2 repels at 2, yet the sphere of exponent vp(c) + vp(c*xi + d) = 1 is invariant."""
+    f = std_map()
+    assert classify_at(f, F(3, 2), Place.finite(2)).verdict is Verdict.REPELLER
+    assert invariant_sphere_check(f, F(3, 2), 2, rho_exponent) == expected
+
+
 def test_basin_sample_dyadic():
     sample = basin_sample(std_map(), F(0), Place.finite(2), [F(1), F(3), F(1, 3), F(5)], n=30)
     assert all(t.converged for t in sample.tested)
@@ -169,3 +183,84 @@ def test_basin_json_shape():
     assert doc["attractor"] == "0"
     assert doc["tested"][0]["x0"] == "1"
     assert doc["tested"][0]["converged"] is True
+
+
+# The window judges that basin_sample used before one distance and one
+# bound test replaced them, kept as the reference for its verdicts.
+def _split_pole_tail(points):
+    last_inf = -1
+    for i, x in enumerate(points):
+        if isinstance(x, Infinity):
+            last_inf = i
+    tail = [x for x in points[last_inf + 1 :]]
+    return tail, last_inf + 1, last_inf >= 0
+
+
+def _judge_real(tail, xi, threshold):
+    distances = [abs(x - xi) for x in tail]
+    for k, d in enumerate(distances):
+        if d == 0:
+            return True, k
+    last = len(distances) - 1
+    first_below = next((k for k, d in enumerate(distances) if d < threshold), None)
+    quarter = 3 * last // 4
+    monotone = all(distances[k + 1] < distances[k] for k in range(quarter, last))
+    converged = distances[last] < threshold and monotone
+    return converged, first_below if first_below is not None else last
+
+
+def _judge_finite(tail, xi, p, threshold):
+    place = Place.finite(p)
+    norms = [norm(x - xi, place) for x in tail]
+    for k, nv in enumerate(norms):
+        if nv.is_zero:
+            return True, k
+    w = [-nv.exponent for nv in norms]
+    last = len(w) - 1
+    first_gained = next((k for k in range(len(w)) if w[k] - w[0] >= threshold), None)
+    quarter = 3 * last // 4
+    monotone = all(w[k + 1] > w[k] for k in range(quarter, last))
+    converged = w[last] - w[0] >= threshold and monotone
+    return converged, first_gained if first_gained is not None else last
+
+
+def _reference_basin(f, xi, place, grid, n):
+    tested = []
+    for x0 in grid:
+        tail, offset, hit_pole = _split_pole_tail(run_orbit(f, x0, n).points)
+        if not tail:
+            tested.append(BasinPoint(x0, False, n, hit_pole))
+            continue
+        if place.is_real:
+            converged, steps = _judge_real(tail, xi, DEFAULT_REAL_THRESHOLD)
+        else:
+            converged, steps = _judge_finite(tail, xi, place.prime, DEFAULT_VALUATION_GAIN)
+        tested.append(BasinPoint(x0, converged, offset + steps, hit_pole))
+    return tuple(tested)
+
+
+@given(
+    parameters,
+    st.sampled_from((None, 2, 3, 5)),
+    st.integers(min_value=0, max_value=60),
+    st.lists(small_rationals, max_size=2),
+    st.integers(min_value=1, max_value=40),
+)
+# Real orbits from near the repeller whose distance to xi stops falling
+# in the middle half of the window: the final-quarter rule decides them.
+@example(FamilyParameter(F(13, 6), 1, F(2, 27), F(16, 37)), None, 29, [], 20)
+@example(FamilyParameter(F(11, 17), -1, F(-25, 23), F(5, 16)), None, 42, [], 16)
+def test_basin_sample_matches_window_judges(fp, prime, j, extra, n):
+    f = from_parameter(fp)
+    place = Place(prime)
+    fixed = f.fixed_points()
+    assume(isinstance(fixed, RationalPair))  # a fused fixed point attracts nowhere
+    verdicts = {x: classify_at(f, x, place).verdict for x in (fixed.point1, fixed.point2)}
+    assume(Verdict.ATTRACTOR in verdicts.values())
+    xi, repeller = sorted(verdicts, key=lambda x: verdicts[x] is not Verdict.ATTRACTOR)
+    # The pole, its image a/c, the attractor, the repeller, then a start
+    # near the repeller, whose orbit lingers before it closes in on xi.
+    grid = [-f.d / f.c, f.a / f.c, xi, repeller, repeller + F(1, (prime or 2) ** j), *extra]
+    sample = basin_sample(f, xi, place, grid, n=n)
+    assert (sample.place, sample.attractor) == (place, xi)
+    assert sample.tested == _reference_basin(f, xi, place, grid, n)

@@ -13,7 +13,6 @@ from qmobius.padic import (
     Place,
     exact_sqrt,
     factor_int,
-    format_rational,
     in_closed_ball,
     is_prime,
     norm,
@@ -39,7 +38,7 @@ def test_parse_rational_forms():
 
 def test_parse_rational_normalizes_signed_denominator():
     assert parse_rational("4/-6") == Fraction(-2, 3)
-    assert format_rational(parse_rational("4/-6")) == "-2/3"
+    assert str(parse_rational("4/-6")) == "-2/3"
 
 
 @pytest.mark.parametrize("bad", ["", "x", "1/0", "1/2/3", "1.5", "2 3"])
@@ -50,7 +49,16 @@ def test_parse_rational_rejects(bad):
 
 @given(rationals)
 def test_format_parse_round_trip(x):
-    assert parse_rational(format_rational(x)) == x
+    assert parse_rational(str(x)) == x
+
+
+@pytest.mark.parametrize("p", [1, 0, -1, -2])
+def test_vp_rejects_p_below_two(p):
+    # p = 1 or -1 divides every integer, so stripping its powers never ends
+    with pytest.raises(ValueError, match="p >= 2"):
+        vp(Fraction(12), p)
+    with pytest.raises(ValueError, match="p >= 2"):
+        on_sphere(Fraction(1), Fraction(0), 0, p)
 
 
 def test_vp_values():

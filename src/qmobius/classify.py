@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .mobius import Infinity, IrrationalPair, MobiusMap, RationalDouble
-from .padic import NormValue, Place, norm, principal_profile, vp
+from .padic import NormValue, Place, factor_int, norm, principal_profile, vp
 
 __all__ = [
     "AdelicReport",
@@ -192,19 +192,20 @@ def in_named_family(f: MobiusMap) -> bool:
 
 def siegel_radius(f: MobiusMap, p: int) -> SiegelRadius:
     """Radius exponent vp(c) - vp(a) of the invariant-sphere ball at p."""
-    place = Place.finite(p)
+    Place.finite(p)  # raises ValueError unless p is prime
     if f.a == 0:
         raise ValueError("radius undefined (|a|_p = 0)")
     exponent = vp(f.c, p) - vp(f.a, p)
-    assert isinstance(exponent, int)
-    return SiegelRadius(prime=place.prime, radius_exponent=exponent, caveat=not in_named_family(f))
+    return SiegelRadius(prime=p, radius_exponent=exponent, caveat=not in_named_family(f))
 
 
 def check_adelic_image(f: MobiusMap, x: Fraction) -> list[int]:
     """Primes p with |f(x)|_p > 1: finite for every rational input.
 
     A principal point (the same rational at every place) stays adelic
-    under f exactly because this list is finite.
+    under f exactly because this list is finite.  In lowest terms
+    vp(f(x)) < 0 iff p divides the denominator, so only it is factored:
+    the numerator's primes never enter the answer (f(x) = 0 has none).
 
     >>> from .mobius import MobiusMap
     >>> f = MobiusMap.make(2, 0, 1, Fraction(1, 2))
@@ -214,6 +215,4 @@ def check_adelic_image(f: MobiusMap, x: Fraction) -> list[int]:
     image = f.apply(x)
     if isinstance(image, Infinity):
         raise ValueError(f"image of the pole x = {x} is the point at infinity")
-    if image == 0:
-        return []
-    return sorted(p for p, v in principal_profile(image).items() if v < 0)
+    return sorted(factor_int(image.denominator))

@@ -69,7 +69,6 @@ def _fixed_points_payload(f: MobiusMap) -> dict:
         }
     if isinstance(result, RationalDouble):
         return {"kind": "double", "point": str(result.point)}
-    assert isinstance(result, IrrationalPair)
     return {"kind": "irrational", "discriminant": str(result.discriminant)}
 
 
@@ -382,3 +381,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

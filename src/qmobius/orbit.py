@@ -88,7 +88,6 @@ class DistanceTrace:
             elif v.is_zero:
                 valuations.append("inf")
             else:
-                assert v.exponent is not None
                 valuations.append(-v.exponent)
         base["valuations"] = valuations
         return base

@@ -64,16 +64,13 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     if n >= _MR_PROVEN_BOUND:
         raise ValueError(f"primality check limited to n < {_MR_PROVEN_BOUND}: got {n}")
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r = _vp_int(n - 1, 2)
+    d = (n - 1) >> r
     for a in _MR_WITNESSES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -157,7 +154,6 @@ def vp(x: Fraction | int, p: int) -> int | float:
     """
     if p < 2:
         raise ValueError(f"valuation needs a prime p >= 2: got {p}")
-    x = Fraction(x)
     if x == 0:
         return PLUS_INFINITY
     return _vp_int(x.numerator, p) - _vp_int(x.denominator, p)
@@ -172,22 +168,14 @@ class NormValue:
     rational magnitude.  Zero has value 0 and no exponent.
     """
 
-    value: Fraction
+    value: Fraction | int
     prime: int | None = None
     exponent: int | None = None
-
-    @classmethod
-    def real_abs(cls, x: Fraction) -> "NormValue":
-        return cls(value=abs(x))
 
     @classmethod
     def p_power(cls, p: int, exponent: int) -> "NormValue":
         value = Fraction(p**exponent) if exponent >= 0 else Fraction(1, p**-exponent)
         return cls(value=value, prime=p, exponent=exponent)
-
-    @classmethod
-    def zero(cls, place: Place) -> "NormValue":
-        return cls(value=Fraction(0), prime=place.prime)
 
     @property
     def is_zero(self) -> bool:
@@ -213,15 +201,11 @@ def norm(x: Fraction | int, place: Place) -> NormValue:
     >>> str(norm(Fraction(4), Place.finite(2)))
     '2^-2'
     """
-    x = Fraction(x)
     if x == 0:
-        return NormValue.zero(place)
-    if place.is_real:
-        return NormValue.real_abs(x)
-    assert place.prime is not None
-    v = vp(x, place.prime)
-    assert isinstance(v, int)
-    return NormValue.p_power(place.prime, -v)
+        return NormValue(value=Fraction(0), prime=place.prime)
+    if place.prime is None:
+        return NormValue(value=abs(x))
+    return NormValue.p_power(place.prime, -vp(x, place.prime))
 
 
 @dataclass(frozen=True)
@@ -251,13 +235,11 @@ def padic_expand(x: Fraction | int, p: int, count: int) -> PAdicDigits:
     digits.  Zero has no canonical expansion (its valuation is
     PLUS_INFINITY); it is rejected.
     """
-    x = Fraction(x)
     if count < 1:
         raise ValueError(f"digit count must be positive: {count}")
     if x == 0:
         raise ValueError("zero has no canonical expansion")
     v = vp(x, p)
-    assert isinstance(v, int)
     unit = x / Fraction(p) ** v
     modulus = p**count
     residue = unit.numerator * pow(unit.denominator, -1, modulus) % modulus
@@ -291,7 +273,7 @@ def factor_int(n: int) -> dict[int, int]:
         raise ValueError("cannot factor zero")
     factors: dict[int, int] = {}
     for p in (2, 3):
-        v = _vp_int(n, p) if n % p == 0 else 0
+        v = _vp_int(n, p)
         if v:
             factors[p] = v
             n //= p**v
@@ -312,7 +294,7 @@ def factor_int(n: int) -> dict[int, int]:
             raise FactorizationError(
                 f"factorization exceeded bound: composite cofactor {n}"
             )
-        factors[n] = factors.get(n, 0) + 1
+        factors[n] = 1
     return factors
 
 
@@ -325,16 +307,13 @@ def principal_profile(x: Fraction | int, nonzero: bool = False) -> dict[int, int
     valid adele but not an idele, so it is rejected when ``nonzero`` is
     set.
     """
-    x = Fraction(x)
     if x == 0:
         if nonzero:
             raise ValueError("zero is not an idele component")
         return {}
-    profile: dict[int, int] = {}
-    for p, v in factor_int(x.numerator).items():
-        profile[p] = v
-    for p, v in factor_int(x.denominator).items():
-        profile[p] = profile.get(p, 0) - v
+    # Numerator and denominator are coprime, so no prime is in both.
+    profile = factor_int(x.numerator)
+    profile.update((p, -v) for p, v in factor_int(x.denominator).items())
     return dict(sorted(profile.items()))
 
 

@@ -207,6 +207,11 @@ def test_siegel_radius_prime_power_coefficient():
     assert report.caveat
 
 
+def test_siegel_radius_rejects_non_prime():
+    with pytest.raises(ValueError, match="not a prime"):
+        siegel_radius(std_map(), 4)
+
+
 def test_siegel_radius_rejects_a_zero():
     f = MobiusMap.make(0, -1, 1, 0)
     with pytest.raises(ValueError, match="radius undefined"):
@@ -215,9 +220,23 @@ def test_siegel_radius_rejects_a_zero():
 
 def test_check_adelic_image_worked():
     f = std_map()
-    assert check_adelic_image(f, F(1)) == [3]  # f(1) = 4/3
-    assert check_adelic_image(f, F(0)) == []  # f(0) = 0
-    assert check_adelic_image(f, F(3, 2)) == [2]  # f(3/2) = 3/2
+    g = from_parameter(FamilyParameter(t=F(-1251, 49), sign=1, a=F(-1251, 49), c=F(-1251, 49)))
+    cases = [
+        (f, F(1), [3]),  # f(1) = 4/3
+        (f, F(0), []),  # f(0) = 0
+        (f, F(3, 2), [2]),  # f(3/2) = 3/2
+        # The numerator of g(x) holds 3415409 * 148255097, which trial
+        # division to 1e6 cannot split; the answer never needs it.
+        (g, F(-807, 23), [3, 139, 2273, 178064401]),
+    ]
+    for h, x, primes in cases:
+        assert check_adelic_image(h, x) == primes
+        # Complete: stripping the listed primes leaves no denominator.
+        rest = h.apply(x).denominator
+        for p in primes:
+            while rest % p == 0:
+                rest //= p
+        assert rest == 1
 
 
 def test_check_adelic_image_rejects_pole():

@@ -1,6 +1,9 @@
 """CLI tests: exit codes, golden outputs, JSON/table consistency."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -190,6 +193,29 @@ def test_preset_requires_case_arguments(capsys):
     code, _, err = run_cli(capsys, ["preset", "--case", "C", "--a", "2"])
     assert code == 2
     assert "--c" in err
+
+
+def test_preset_rejects_c_zero(capsys):
+    code, _, err = run_cli(capsys, ["preset", "--case", "C", "--a", "2", "--c", "0"])
+    assert code == 2
+    assert "c != 0" in err
+
+
+def test_module_form_runs_the_cli():
+    """`python -m qmobius.cli` prints what `main` prints and exits with its code."""
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def module_run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "qmobius.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    done = module_run(*SCENARIOS["classify"])
+    assert done.returncode == 0
+    assert done.stdout == (GOLDEN / "classify.txt").read_text()
+    assert module_run("classify", "--map", "2,0,1,1").returncode == 2
 
 
 def test_preset_all_cases(capsys):

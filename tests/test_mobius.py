@@ -183,6 +183,23 @@ def test_case_constructors_worked_points():
     assert case_D_sub(F(3), 1).fixed_points() == RationalDouble(F(-1))
 
 
+@pytest.mark.parametrize("build, args", [
+    (case_A, (F(0), F(1))),
+    (case_A, (F(2), F(0))),
+    (case_B, (F(0),)),
+    (case_B, (F(1),)),
+    (case_B, (F(-1),)),
+    (case_C, (F(2), F(0))),
+    (case_D, (F(2), F(0))),
+    (case_C_sub, (F(0), 1)),
+    (case_D_sub, (F(0), 1)),
+    (case_C_sub, (F(3), 2)),
+])
+def test_case_constructors_reject(build, args):
+    with pytest.raises(ValueError):
+        build(*args)
+
+
 def test_case_A_and_B_shapes():
     f = case_A(F(3), F(2))
     assert f.b == 0 and f.d == F(1, 3)

@@ -68,6 +68,9 @@ def test_vp_values():
     assert vp(Fraction(1), 7) == 0
     assert vp(Fraction(0), 5) == PLUS_INFINITY
     assert vp(Fraction(0), 5) == math.inf
+    for n in (12, -12, 7, 0):
+        assert vp(n, 2) == vp(Fraction(n), 2)
+        assert vp(n, 3) == vp(Fraction(n), 3)
 
 
 @given(nonzero_rationals, nonzero_rationals, st.sampled_from(PRIMES))
@@ -90,6 +93,10 @@ def test_norm_values():
     assert norm(Fraction(4), Place.finite(2)).value == Fraction(1, 4)
     assert norm(Fraction(-3, 2), Place.real()).value == Fraction(3, 2)
     assert norm(Fraction(0), Place.finite(7)).is_zero
+    for n in (12, -12, 0):
+        for place in (Place.real(), Place.finite(2), Place.finite(3)):
+            assert norm(n, place) == norm(Fraction(n), place)
+            assert str(norm(n, place)) == str(norm(Fraction(n), place))
 
 
 def test_norm_cmp_one():
@@ -120,6 +127,12 @@ def test_padic_expand_worked_values():
     twelve = padic_expand(Fraction(12), 2, 3)
     assert twelve.valuation == 2
     assert twelve.digits == (1, 1, 0)
+
+    for n in (12, -12, 1, -1):
+        assert padic_expand(n, 2, 5) == padic_expand(Fraction(n), 2, 5)
+        assert padic_expand(n, 3, 5) == padic_expand(Fraction(n), 3, 5)
+    with pytest.raises(ValueError):
+        padic_expand(0, 2, 4)
 
 
 def test_padic_expand_rejects():
@@ -197,6 +210,11 @@ def test_principal_profile():
     assert principal_profile(Fraction(0)) == {}
     with pytest.raises(ValueError):
         principal_profile(Fraction(0), nonzero=True)
+    for n in (12, -12, 1, 0):
+        assert principal_profile(n) == principal_profile(Fraction(n))
+    assert principal_profile(-12) == {2: 2, 3: 1}
+    with pytest.raises(ValueError):
+        principal_profile(0, nonzero=True)
 
 
 @given(nonzero_rationals)

@@ -138,6 +138,20 @@ def classify_at(f: MobiusMap, xi: Fraction, place: Place) -> PlaceReport:
     return PlaceReport(place, derivative_norm, _verdict_of(derivative_norm))
 
 
+def _place_reports(profile: dict[int, int]) -> list[PlaceReport]:
+    """Reports at the primes of a profile {p: vp(c*xi+d)}: |f'(xi)|_p = p**(2*v)."""
+    norms = {p: NormValue.p_power(p, 2 * v) for p, v in profile.items()}
+    return [PlaceReport(Place.finite(p), n, _verdict_of(n)) for p, n in norms.items()]
+
+
+def _rational_fixed_points(f: MobiusMap) -> tuple[Fraction, ...]:
+    """The fixed points of f (two, or one if fused); irrational ones raise."""
+    result = f.fixed_points()
+    if isinstance(result, IrrationalPair):
+        raise ValueError("fixed points not rational; out of scope")
+    return (result.point,) if isinstance(result, RationalDouble) else (result.point1, result.point2)
+
+
 def exceptional_primes(f: MobiusMap, xi: Fraction) -> list[PlaceReport]:
     """All finite places where xi is not indifferent, smallest prime first.
 
@@ -147,33 +161,24 @@ def exceptional_primes(f: MobiusMap, xi: Fraction) -> list[PlaceReport]:
     never zero here.
     """
     f.require_fixed(xi)
-    profile = principal_profile(f.c * xi + f.d, nonzero=True)
-    reports = []
-    for p in sorted(profile):
-        derivative_norm = NormValue.p_power(p, 2 * profile[p])
-        reports.append(PlaceReport(Place.finite(p), derivative_norm, _verdict_of(derivative_norm)))
-    return reports
+    return _place_reports(principal_profile(f.c * xi + f.d))
 
 
 def adelic_report(f: MobiusMap) -> tuple[AdelicReport, ...]:
     """One AdelicReport per rational fixed point (two, or one if fused).
 
-    Maps whose fixed points are irrational are out of scope and raise.
+    Only c*xi1 + d is factored.  The fixed points are the roots of
+    c*x**2 + (d-a)*x - b, so (c*xi1 + d)(c*xi2 + d) = c**2*xi1*xi2 +
+    c*d*(xi1 + xi2) + d**2 = -bc + d(a-d) + d**2 = ad - bc = 1: the
+    partner's profile is the first one negated, the same primes with
+    opposite verdicts.  Irrational fixed points are out of scope and raise.
     """
-    result = f.fixed_points()
-    if isinstance(result, IrrationalPair):
-        raise ValueError("fixed points not rational; out of scope")
-    if isinstance(result, RationalDouble):
-        points: tuple[Fraction, ...] = (result.point,)
-    else:
-        points = (result.point1, result.point2)
+    points = _rational_fixed_points(f)
+    profile = principal_profile(f.c * points[0] + f.d)
+    profiles = (profile, {p: -v for p, v in profile.items()})
     return tuple(
-        AdelicReport(
-            fixed_point=xi,
-            real_report=classify_at(f, xi, Place.real()),
-            exceptional=tuple(exceptional_primes(f, xi)),
-        )
-        for xi in points
+        AdelicReport(xi, classify_at(f, xi, Place.real()), tuple(_place_reports(xi_profile)))
+        for xi, xi_profile in zip(points, profiles)
     )
 
 

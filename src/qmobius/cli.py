@@ -15,9 +15,8 @@ import argparse
 import json
 import sys
 
-from .classify import adelic_report, classify_at, siegel_radius
+from .classify import _rational_fixed_points, adelic_report, classify_at, siegel_radius
 from .mobius import (
-    IrrationalPair,
     MobiusMap,
     ProjectivePoint,
     RationalDouble,
@@ -82,19 +81,11 @@ def _cmd_classify(args: argparse.Namespace) -> dict:
     if args.place is None:
         return {"map": str(f), "reports": [r.to_json_dict() for r in adelic_report(f)]}
     place = _parse_place(args.place)
-    result = f.fixed_points()
-    if isinstance(result, IrrationalPair):
-        raise ValueError("fixed points not rational; out of scope")
-    points = [result.point] if isinstance(result, RationalDouble) else [result.point1, result.point2]
     reports = []
-    for xi in points:
+    for xi in _rational_fixed_points(f):
         r = classify_at(f, xi, place)
         reports.append(
-            {
-                "fixed_point": str(xi),
-                "verdict": str(r.verdict),
-                "derivative_norm": str(r.derivative_norm),
-            }
+            {"fixed_point": str(xi), "verdict": str(r.verdict), "derivative_norm": str(r.derivative_norm)}
         )
     return {"map": str(f), "place": str(place), "reports": reports}
 
@@ -347,8 +338,22 @@ def render_table(payload: dict) -> str:
     return "\n".join(_table_lines(payload, 0))
 
 
+# Joins "--flag -3,-4,1,1" into "--flag=-3,-4,1,1": argparse takes a token that
+# starts with "-" for an option unless it reads as a number like -3 or -1.5, and
+# no option here starts with "-" and a digit.
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    joined: list[str] = []
+    for arg in argv:
+        prev = joined[-1] if joined else ""
+        if prev.startswith("--") and "=" not in prev and arg[:1] == "-" and arg[1:2].isdecimal():
+            joined[-1] = f"{prev}={arg}"
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
+    argv = _attach_signed_values(sys.argv[1:] if argv is None else argv)
     first_positional = next((a for a in argv if not a.startswith("-")), None)
     asks_help = first_positional is None and any(a in ("-h", "--help") for a in argv)
     if first_positional not in _HANDLERS and not asks_help:

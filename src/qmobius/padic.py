@@ -298,18 +298,15 @@ def factor_int(n: int) -> dict[int, int]:
     return factors
 
 
-def principal_profile(x: Fraction | int, nonzero: bool = False) -> dict[int, int]:
+def principal_profile(x: Fraction | int) -> dict[int, int]:
     """Finite map {p: vp(x, p)} over the primes where the valuation is nonzero.
 
     An empty map certifies that x is a p-adic integer at every prime;
     for x != 0 it further certifies x is a p-adic unit outside the
-    returned set, which is the idele finiteness condition.  Zero is a
-    valid adele but not an idele, so it is rejected when ``nonzero`` is
-    set.
+    returned set, which is the idele finiteness condition.  Zero, a
+    valid adele but not an idele, maps to the empty profile.
     """
     if x == 0:
-        if nonzero:
-            raise ValueError("zero is not an idele component")
         return {}
     # Numerator and denominator are coprime, so no prime is in both.
     profile = factor_int(x.numerator)

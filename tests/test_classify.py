@@ -1,11 +1,14 @@
 """Tests for per-place verdicts, adelic reports and Siegel radii."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from qmobius import padic
 from qmobius.classify import (
+    AdelicReport,
     Verdict,
     adelic_report,
     check_adelic_image,
@@ -157,6 +160,72 @@ def test_partner_verdict_duality(fp):
     for p in primes:
         place = Place.finite(p)
         assert r1.verdict_at(place).dual() is r2.verdict_at(place)
+
+
+def per_point_reports(f):
+    """Each fixed point classified on its own: the real verdict and its own factoring."""
+    result = f.fixed_points()
+    points = [result.point1, result.point2] if isinstance(result, RationalPair) else [result.point]
+    return tuple(
+        AdelicReport(xi, classify_at(f, xi, Place.real()), tuple(exceptional_primes(f, xi)))
+        for xi in points
+    )
+
+
+@given(st.builds(
+    FamilyParameter,
+    t=st.one_of(st.just(F(0)), t_values),
+    sign=st.sampled_from((1, -1)),
+    a=small_rationals,
+    c=nonzero_small,
+))
+@example(FamilyParameter(t=F(0), sign=1, a=F(2), c=F(1)))
+@example(FamilyParameter(t=F(0), sign=-1, a=F(1, 2), c=F(5)))
+@example(FamilyParameter(t=F(1, 2), sign=1, a=F(2), c=F(1)))
+@example(FamilyParameter(t=F(-3, 7), sign=-1, a=F(0), c=F(-12, 5)))
+def test_adelic_report_matches_per_point_classification(fp):
+    f = from_parameter(fp)
+    expected = per_point_reports(f)
+    reports = adelic_report(f)
+    assert len(reports) == len(expected) == (1 if fp.t == 0 else 2)
+    for got, want in zip(reports, expected):
+        assert got.fixed_point == want.fixed_point
+        assert got.real_report == want.real_report
+        assert len(got.exceptional) == len(want.exceptional)
+        for g, w in zip(got.exceptional, want.exceptional):
+            assert g.place == w.place
+            assert g.verdict is w.verdict
+            assert g.derivative_norm == w.derivative_norm
+            assert str(g.derivative_norm) == str(w.derivative_norm)
+        assert got.to_json_dict() == want.to_json_dict()
+
+
+def factor_inputs(monkeypatch, f):
+    """The integers adelic_report(f) hands to factor_int, in call order."""
+    seen = []
+    factor_int = padic.factor_int
+
+    def counting(n):
+        seen.append(n)
+        return factor_int(n)
+
+    monkeypatch.setattr(padic, "factor_int", counting)
+    adelic_report(f)
+    return seen
+
+
+def test_adelic_report_factors_the_pair_once(monkeypatch):
+    # c*xi + d is 2 at xi = 3/2 and 1/2 at xi = 0: one profile covers both
+    assert factor_inputs(monkeypatch, std_map()) == [2, 1]
+
+
+def test_adelic_report_factors_a_large_prime_once(monkeypatch):
+    p = 9_999_999_967  # prime; c*xi + d = p/3 at xi = 0, 3/p at its partner
+    assert padic.is_prime(p)
+    f = MobiusMap.make(F(3, p), 0, 1, F(p, 3))
+    assert Counter(factor_inputs(monkeypatch, f)) == {p: 1, 3: 1}
+    for report in adelic_report(f):
+        assert [r.place.prime for r in report.exceptional] == [3, p]
 
 
 @pytest.mark.parametrize(

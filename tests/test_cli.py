@@ -289,3 +289,68 @@ def test_bad_place_is_input_error(capsys):
     )
     assert code == 2
     assert "prime" in err
+
+
+def test_preset_map_reads_back_into_classify(capsys):
+    """A map the CLI prints, negative coefficients included, is valid --map input."""
+    code, out, _ = run_cli(capsys, ["preset", "--case", "D", "--a", "-3", "--c", "1", "--json"])
+    assert code == 0
+    printed = json.loads(out)["map"]
+    assert printed == "-3,-4,1,1"
+    code, out, _ = run_cli(capsys, ["classify", "--map", printed, "--json"])
+    assert code == 0
+    assert json.loads(out)["map"] == printed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--map", "-3,-4,1,1"],
+        ["classify", "--map", "-3,-4,1,1", "--place", "2", "--json"],
+        ["orbit", "--map", "-1/2,3,1/2,-5", "--x0", "-7/3", "--n", "4"],
+        ["basin", "--map", "2,0,1,1/2", "--xi", "0", "--place", "2", "--grid", "-1/3,5", "--n", "30"],
+    ],
+)
+def test_separate_and_joined_values_agree(capsys, argv):
+    joined = []
+    for arg in argv:
+        if arg.startswith("-") and not arg.startswith("--") and joined[-1].startswith("--"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    assert joined != argv
+    separate = run_cli(capsys, argv)
+    assert separate[0] == 0
+    assert separate == run_cli(capsys, joined)
+
+
+def test_negative_initial_point(capsys):
+    code, out, _ = run_cli(capsys, ["orbit", "--map", "2,0,1,1/2", "--x0", "-1/2", "--n", "3", "--json"])
+    assert code == 0
+    assert json.loads(out)["points"] == ["-1/2", "inf", "2", "8/5"]
+
+
+def test_negative_grid_point(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["basin", "--map", "2,0,1,1/2", "--xi", "0", "--place", "2", "--grid", "-1/3,5", "--n", "30", "--json"],
+    )
+    assert code == 0
+    assert [t["x0"] for t in json.loads(out)["tested"]] == ["-1/3", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "--map", "-3,-4,1,2"], "determinant"),
+        (["orbit", "--map", "2,0,1,1/2", "--x0", "-zebra", "--n", "3"], "--x0"),
+        (["orbit", "--map", "2,0,1,1/2", "--x0", "-1/0", "--n", "3"], "zero denominator"),
+        (["orbit", "--map", "2,0,1,1/2", "--n", "3", "--x0"], "--x0"),
+        (["classify", "--json", "-3"], "--json"),
+    ],
+)
+def test_signed_input_errors_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert message in err

@@ -208,13 +208,9 @@ def test_principal_profile():
     assert principal_profile(Fraction(4, 3)) == {2: 2, 3: -1}
     assert principal_profile(Fraction(1)) == {}
     assert principal_profile(Fraction(0)) == {}
-    with pytest.raises(ValueError):
-        principal_profile(Fraction(0), nonzero=True)
     for n in (12, -12, 1, 0):
         assert principal_profile(n) == principal_profile(Fraction(n))
     assert principal_profile(-12) == {2: 2, 3: 1}
-    with pytest.raises(ValueError):
-        principal_profile(0, nonzero=True)
 
 
 @given(nonzero_rationals)

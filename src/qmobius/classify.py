@@ -119,8 +119,7 @@ class SiegelRadius:
 
     @property
     def radius(self) -> Fraction:
-        e = self.radius_exponent
-        return Fraction(self.prime**e) if e >= 0 else Fraction(1, self.prime**-e)
+        return Fraction(self.prime) ** self.radius_exponent
 
 
 def classify_at(f: MobiusMap, xi: Fraction, place: Place) -> PlaceReport:

@@ -78,16 +78,17 @@ def format_point(x: ProjectivePoint) -> str:
 
 @dataclass(frozen=True)
 class Mat2:
-    """A 2x2 rational matrix; the image of a map power, which may be scalar."""
+    """An invertible 2x2 rational matrix acting projectively; a map power may
+    be scalar or lose its pole, so it is a Mat2 rather than a MobiusMap."""
 
     a: Fraction
     b: Fraction
     c: Fraction
     d: Fraction
 
-    @classmethod
-    def identity(cls) -> "Mat2":
-        return cls(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
+    def __post_init__(self) -> None:
+        if self.det() == 0:
+            raise ValueError("singular matrix has no projective action")
 
     def det(self) -> Fraction:
         return self.a * self.d - self.b * self.c
@@ -102,12 +103,11 @@ class Mat2:
 
     @property
     def is_scalar(self) -> bool:
-        return self.b == 0 and self.c == 0 and self.a == self.d and self.a != 0
+        return self.b == 0 and self.c == 0 and self.a == self.d
 
     def apply(self, x: ProjectivePoint) -> ProjectivePoint:
-        """Projective action; defined whenever det != 0."""
-        if self.det() == 0:
-            raise ValueError("singular matrix has no projective action")
+        """Evaluate on the projective line; the pole -d/c maps to infinity
+        and infinity maps to a/c (to itself when c = 0)."""
         if isinstance(x, Infinity):
             return self.a / self.c if self.c != 0 else INFINITY
         den = self.c * x + self.d
@@ -115,18 +115,15 @@ class Mat2:
             return INFINITY
         return (self.a * x + self.b) / den
 
+    __call__ = apply
+
 
 @dataclass(frozen=True)
-class MobiusMap:
-    """f(x) = (ax+b)/(cx+d) with ad - bc = 1 and c != 0."""
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+class MobiusMap(Mat2):
+    """f(x) = (ax+b)/(cx+d): a Mat2 with ad - bc = 1 and c != 0."""
 
     def __post_init__(self) -> None:
-        det = self.a * self.d - self.b * self.c
+        det = self.det()
         if det != 1:
             raise ValueError(
                 f"determinant != 1: got {det} for "
@@ -135,22 +132,15 @@ class MobiusMap:
         if self.c == 0:
             raise ValueError(f"c = 0: ({self.a}, {self.b}, {self.c}, {self.d}) is affine")
 
+    # The same function object as Mat2.apply, bound here too so that code
+    # reading this class's own namespace, such as the wrapper that
+    # bench/tracing.py installs via vars(MobiusMap)["apply"], finds it.
+    apply = Mat2.apply
+
     @classmethod
     def make(cls, a, b, c, d) -> "MobiusMap":
         """Build from anything Fraction accepts (ints, strings, Fractions)."""
         return cls(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
-
-    def apply(self, x: ProjectivePoint) -> ProjectivePoint:
-        """Evaluate on the projective line; the pole -d/c maps to infinity
-        and infinity maps to a/c."""
-        if isinstance(x, Infinity):
-            return self.a / self.c
-        den = self.c * x + self.d
-        if den == 0:
-            return INFINITY
-        return (self.a * x + self.b) / den
-
-    __call__ = apply
 
     def compose(self, other: "MobiusMap") -> "MobiusMap":
         """Matrix product: (self.compose(other))(x) == self(other(x)).
@@ -158,7 +148,7 @@ class MobiusMap:
         Raises if the product lands outside the c != 0 class, since every
         formula downstream assumes a genuine pole.
         """
-        m = self.matrix() @ other.matrix()
+        m = self @ other
         if m.c == 0:
             raise ValueError("composition leaves the c != 0 class")
         return MobiusMap(m.a, m.b, m.c, m.d)
@@ -166,22 +156,27 @@ class MobiusMap:
     def inverse(self) -> "MobiusMap":
         return MobiusMap(self.d, -self.b, -self.c, self.a)
 
-    def matrix(self) -> Mat2:
-        return Mat2(self.a, self.b, self.c, self.d)
-
     def power(self, n: int) -> Mat2:
-        """F**n by binary exponentiation; the result may be scalar."""
+        """F**n = u_n*F - u_(n-1)*I, from the trace t = a + d alone.
+
+        u_0 = 0, u_1 = 1 and u_(k+1) = t*u_k - u_(k-1).  Proof by induction:
+        n = 1 is F itself, and Cayley-Hamilton F**2 = t*F - I (det F = 1)
+        gives F**(n+1) = u_n*(t*F - I) - u_(n-1)*F = u_(n+1)*F - u_n*I.
+        The sequence doubles as u_2k = u_k*(2*u_(k+1) - t*u_k) and
+        u_(2k+1) = u_(k+1)**2 - u_k**2, both by induction on the same
+        recurrence, so u_n costs O(log n) products.  The result may be
+        scalar (t = 0 or +-1) or have c = 0, so it is a Mat2.
+        """
         if n < 1:
             raise ValueError(f"power requires n >= 1: got {n}")
-        acc = Mat2.identity()
-        base = self.matrix()
-        while n:
-            if n & 1:
-                acc = acc @ base
-            n >>= 1
-            if n:
-                base = base @ base
-        return acc
+        t = self.a + self.d
+        u, u_next = Fraction(1), t  # (u_k, u_(k+1)) for k = 1, the leading bit of n
+        for bit in bin(n)[3:]:
+            u, u_next = u * (2 * u_next - t * u), u_next * u_next - u * u
+            if bit == "1":
+                u, u_next = u_next, t * u_next - u
+        u_prev = t * u - u_next
+        return Mat2(u * self.a - u_prev, u * self.b, u * self.c, u * self.d - u_prev)
 
     def derivative_at(self, x: Fraction) -> Fraction:
         """f'(x) = 1/(cx+d)^2, exact; undefined at the pole."""
@@ -380,25 +375,23 @@ def _check_case(tag: str, f: MobiusMap) -> None:
 
 
 def closed_iterate(tag: str, f: MobiusMap, x0: ProjectivePoint, n: int) -> ProjectivePoint:
-    """Explicit n-th iterate of the four fused-fixed-point families.
+    """Explicit n-th iterate of the four fused-fixed-point families: F**n applied to x0.
 
-    Each family has trace +-2, so xi = (a-d)/(2c) is its fused fixed point
-    and c*xi + d = +-1.  From f(x) - xi = (x - xi)/((c*xi+d)(cx+d)),
-    u = 1/(x - xi) moves by c/(c*xi + d) at each step on the whole
-    projective line (x = xi is u = inf, x = inf is u = 0), so
+    Each family has trace t = 2e with e = +-1, and then the sequence
+    u_(k+1) = t*u_k - u_(k-1) of MobiusMap.power is u_n = e**(n-1) * n
+    (induction: 2e * e**(k-1) * k - e**(k-2) * (k-1) = e**k * (k+1)).
+    So F**n = e**(n-1) * (n*F - e*(n-1)*I), entries linear in n.  With
+    xi = (a-d)/(2c) the fused fixed point, c*xi + d = e, and
+    f(x) - xi = (x - xi)/((c*xi+d)(cx+d)) says u = 1/(x - xi) moves by
+    c/(c*xi + d) at each step on the whole projective line (x = xi is
+    u = inf, x = inf is u = 0); F**n is that translation taken n times,
     1/(x_n - xi) = 1/(x0 - xi) + n*c/(c*xi + d).  The map must satisfy
     the tagged case's defining coefficient constraints.
     """
     _check_case(tag, f)
     if n < 1:
         raise ValueError(f"iterate count must be >= 1: got {n}")
-    xi = (f.a - f.d) / (2 * f.c)
-    if x0 == xi:
-        return xi
-    u = (0 if isinstance(x0, Infinity) else 1 / (x0 - xi)) + n * f.c / (f.c * xi + f.d)
-    if u == 0:
-        return INFINITY
-    return xi + 1 / u
+    return f.power(n).apply(x0)
 
 
 def cross_ratio(

@@ -53,7 +53,8 @@ _TRIAL_DIVISION_BOUND = 10**6
 
 
 class FactorizationError(RuntimeError):
-    """Raised when an integer cannot be factored within the trial-division bound."""
+    """Raised when the kernel cannot factor a number, or prove it prime,
+    within its bounds (trial division to 1e6, proven Miller-Rabin)."""
 
 
 def is_prime(n: int) -> bool:
@@ -61,6 +62,7 @@ def is_prime(n: int) -> bool:
 
     Uses trial division by a few small primes, then Miller-Rabin with a
     fixed witness set that is proven exhaustive below ``_MR_PROVEN_BOUND``.
+    Past that bound no verdict is proven, so FactorizationError is raised.
     """
     if n < 2:
         return False
@@ -68,7 +70,9 @@ def is_prime(n: int) -> bool:
         if n % p == 0:
             return n == p
     if n >= _MR_PROVEN_BOUND:
-        raise ValueError(f"primality check limited to n < {_MR_PROVEN_BOUND}: got {n}")
+        raise FactorizationError(
+            f"factorization exceeded bound: {n} is past the proven primality bound"
+        )
     r = _vp_int(n - 1, 2)
     d = (n - 1) >> r
     for a in _MR_WITNESSES:
@@ -174,8 +178,7 @@ class NormValue:
 
     @classmethod
     def p_power(cls, p: int, exponent: int) -> "NormValue":
-        value = Fraction(p**exponent) if exponent >= 0 else Fraction(1, p**-exponent)
-        return cls(value=value, prime=p, exponent=exponent)
+        return cls(value=Fraction(p) ** exponent, prime=p, exponent=exponent)
 
     @property
     def is_zero(self) -> bool:
@@ -285,10 +288,6 @@ def factor_int(n: int) -> dict[int, int]:
                 factors[step] = v
                 n //= step**v
         q += 6
-    if n >= _MR_PROVEN_BOUND:
-        raise FactorizationError(
-            f"factorization exceeded bound: cofactor {n} is past the proven primality bound"
-        )
     if n > 1:
         if not is_prime(n):
             raise FactorizationError(

@@ -146,6 +146,17 @@ def test_exit_code_unprovable_prime_cofactor(capsys):
     assert "factorization" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["classify", "--map", "2,0,1,1/2", "--place", str(2**89 - 1)],
+    ["sphere-check", "--map", "2,0,1,1/2", "--xi", "0", "--p", str(2**89 - 1), "--rho-exp", "0"],
+], ids=["classify", "sphere-check"])
+def test_exit_code_unprovable_prime_place(capsys, argv):
+    # a place must be proven prime; past the proven bound that is an exceeded budget
+    code, _, err = run_cli(capsys, argv)
+    assert code == 3
+    assert "factorization" in err
+
+
 def test_exit_code_irrational_fixed_points(capsys):
     code, _, err = run_cli(capsys, ["classify", "--map", "1,-1,1,0"])
     assert code == 2

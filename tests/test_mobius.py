@@ -101,11 +101,41 @@ def test_power_is_matrix_power():
 @given(parameters, st.integers(min_value=1, max_value=12))
 def test_power_matches_repeated_compose(fp, n):
     f = from_parameter(fp)
-    m = f.matrix()
-    acc = m
+    acc = Mat2(f.a, f.b, f.c, f.d)
     for _ in range(n - 1):
-        acc = acc @ m
+        acc = acc @ f
     assert f.power(n) == acc
+
+
+@pytest.mark.parametrize("trace", [F(0), F(1), F(-1), F(2), F(-2), F(1, 2), F(3), F(-5, 2)])
+def test_power_matches_repeated_product_for_every_trace(trace):
+    """Scalar (t = 0, +-1), parabolic (t = +-2) and hyperbolic powers alike."""
+    for f in maps_with_trace(trace, random.Random(2), 5):
+        acc = Mat2(f.a, f.b, f.c, f.d)
+        for n in range(1, 25):
+            assert f.power(n) == acc
+            acc = acc @ f
+
+
+@pytest.mark.parametrize("n", [100, 1500])
+def test_power_matches_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(3)
+    for _ in range(4):
+        t = random_rational(rng)
+        if t in (1, -1):
+            continue
+        fp = FamilyParameter(t, rng.choice((1, -1)), random_rational(rng), random_rational(rng, nonzero=True))
+        f = from_parameter(fp)
+        rows = [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in ((f.a, f.b), (f.c, f.d))]
+        want = [F(int(e.p), int(e.q)) for e in sympy.Matrix(rows) ** n]
+        m = f.power(n)
+        assert [m.a, m.b, m.c, m.d] == want
+
+
+def test_mat2_rejects_singular_matrix():
+    with pytest.raises(ValueError, match="singular"):
+        Mat2(F(1), F(2), F(2), F(4))
 
 
 def test_fixed_points_pair():
@@ -272,6 +302,26 @@ def test_closed_iterate_at_fixed_point_and_pole(tag):
         assert closed_iterate(tag, f, pole, n) == x
 
 
+def translation_iterate(f, x0, n):
+    """Reference for a fused map: 1/(x_n - xi) = 1/(x0 - xi) + n*c/(c*xi + d)."""
+    xi = (f.a - f.d) / (2 * f.c)
+    if x0 == xi:
+        return xi
+    u = (0 if isinstance(x0, Infinity) else 1 / (x0 - xi)) + n * f.c / (f.c * xi + f.d)
+    return INFINITY if u == 0 else xi + 1 / u
+
+
+@pytest.mark.parametrize("tag", CASE_TAGS)
+def test_closed_iterate_matches_translation_formula(tag):
+    f = FUSED[tag]
+    rng = random.Random(4)
+    starts = [random_rational(rng) for _ in range(3)]
+    starts += [f.fixed_points().point, -f.d / f.c, INFINITY]
+    for x0 in starts:
+        for n in (1, 2, 3, 17, 1000, 10**6):
+            assert closed_iterate(tag, f, x0, n) == translation_iterate(f, x0, n)
+
+
 def test_cross_ratio_worked_values():
     assert cross_ratio(F(0), F(1), F(2), F(3)) == F(4, 3)
     assert cross_ratio(INFINITY, F(1), F(2), F(3)) == F(2)
@@ -317,11 +367,11 @@ def test_detect_period_order_three_beyond_k_max():
 
 def period_by_powers(f, k_max):
     """Reference: multiply F by itself until the product is scalar."""
-    m = f.matrix()
+    m = f
     for k in range(1, k_max + 1):
         if m.is_scalar:
             return k
-        m = m @ f.matrix()
+        m = m @ f
     return None
 
 

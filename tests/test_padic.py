@@ -204,6 +204,13 @@ def test_factor_int_cofactor_past_proven_bound_fails():
         factor_int(2**89 - 1)
 
 
+@pytest.mark.parametrize("check", [is_prime, Place.finite], ids=["is_prime", "Place.finite"])
+def test_primality_past_proven_bound_fails(check):
+    # 2**89 - 1 is prime, but no verdict past the Miller-Rabin bound is proven
+    with pytest.raises(FactorizationError, match="factorization"):
+        check(2**89 - 1)
+
+
 def test_principal_profile():
     assert principal_profile(Fraction(4, 3)) == {2: 2, 3: -1}
     assert principal_profile(Fraction(1)) == {}

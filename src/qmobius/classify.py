@@ -137,10 +137,14 @@ def classify_at(f: MobiusMap, xi: Fraction, place: Place) -> PlaceReport:
     return PlaceReport(place, derivative_norm, _verdict_of(derivative_norm))
 
 
-def _place_reports(profile: dict[int, int]) -> list[PlaceReport]:
-    """Reports at the primes of a profile {p: vp(c*xi+d)}: |f'(xi)|_p = p**(2*v)."""
-    norms = {p: NormValue.p_power(p, 2 * v) for p, v in profile.items()}
-    return [PlaceReport(Place.finite(p), n, _verdict_of(n)) for p, n in norms.items()]
+def _place_reports(valuations: dict[Place, int]) -> tuple[PlaceReport, ...]:
+    """Reports at the places of {place: vp(c*xi+d)}: |f'(xi)|_p = p**(2*v)."""
+    norms = {place: NormValue.p_power(place.prime, 2 * v) for place, v in valuations.items()}
+    return tuple(PlaceReport(place, n, _verdict_of(n)) for place, n in norms.items())
+
+
+def _finite_places(profile: dict[int, int]) -> dict[Place, int]:
+    return {Place.finite(p): v for p, v in profile.items()}
 
 
 def _rational_fixed_points(f: MobiusMap) -> tuple[Fraction, ...]:
@@ -160,7 +164,7 @@ def exceptional_primes(f: MobiusMap, xi: Fraction) -> list[PlaceReport]:
     never zero here.
     """
     f.require_fixed(xi)
-    return _place_reports(principal_profile(f.c * xi + f.d))
+    return list(_place_reports(_finite_places(principal_profile(f.c * xi + f.d))))
 
 
 def adelic_report(f: MobiusMap) -> tuple[AdelicReport, ...]:
@@ -170,14 +174,15 @@ def adelic_report(f: MobiusMap) -> tuple[AdelicReport, ...]:
     c*x**2 + (d-a)*x - b, so (c*xi1 + d)(c*xi2 + d) = c**2*xi1*xi2 +
     c*d*(xi1 + xi2) + d**2 = -bc + d(a-d) + d**2 = ad - bc = 1: the
     partner's profile is the first one negated, the same primes with
-    opposite verdicts.  Irrational fixed points are out of scope and raise.
+    opposite verdicts, at places built (and proven prime) once for both.
+    Irrational fixed points are out of scope and raise.
     """
     points = _rational_fixed_points(f)
-    profile = principal_profile(f.c * points[0] + f.d)
-    profiles = (profile, {p: -v for p, v in profile.items()})
+    valuations = _finite_places(principal_profile(f.c * points[0] + f.d))
+    partner = {place: -v for place, v in valuations.items()}
     return tuple(
-        AdelicReport(xi, classify_at(f, xi, Place.real()), tuple(_place_reports(xi_profile)))
-        for xi, xi_profile in zip(points, profiles)
+        AdelicReport(xi, classify_at(f, xi, Place.real()), _place_reports(xi_valuations))
+        for xi, xi_valuations in zip(points, (valuations, partner))
     )
 
 

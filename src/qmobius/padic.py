@@ -18,6 +18,7 @@ concurrent callers need no coordination.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,35 +45,47 @@ __all__ = [
 # ultrametric min/max algebra below needs no special-casing.
 PLUS_INFINITY = math.inf
 
-# Deterministic Miller-Rabin with this witness set is a proven primality
-# test for all n below this bound (covers 64-bit inputs with room to spare).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin with the 13 prime bases up to 41 proves n
+# prime for every n below psi_13 = 3317044064679887385961981, the least
+# strong pseudoprime to all of them (Sorenson and Webster 2017).  The
+# first twelve bases are not enough there: psi_12 =
+# 318665857834031151167461 = 399165290221 * 798330580441 passes them all.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_PROVEN_BOUND = 3_317_044_064_679_887_385_961_981
 
-_TRIAL_DIVISION_BOUND = 10**6
+
+def _primes_below(bound: int) -> tuple[int, ...]:
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(bound) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, bound, p)))
+    return tuple(p for p, flag in enumerate(sieve) if flag)
+
+
+# factor_int trial-divides by these; a cofactor below _TRIAL_BOUND**2
+# with no prime factor below _TRIAL_BOUND is prime without a test.
+_TRIAL_BOUND = 1000
+_SMALL_PRIMES = _primes_below(_TRIAL_BOUND)
+
+# Brent's rho gives up on one composite after this many steps over all of
+# its seeds, about half a second on a 170-bit number.  That splits every
+# composite tried whose least prime factor is below 10**11, and few past
+# 10**12; past the budget the factorization raises.
+_RHO_STEP_BUDGET = 1 << 19
+_RHO_BATCH = 128
 
 
 class FactorizationError(RuntimeError):
     """Raised when the kernel cannot factor a number, or prove it prime,
-    within its bounds (trial division to 1e6, proven Miller-Rabin)."""
+    within its budget: Brent's rho spends _RHO_STEP_BUDGET steps on one
+    composite without splitting it, or a probable prime past the proven
+    Miller-Rabin bound has no Lucas n - 1 certificate (n - 1 cannot be
+    factored, or no witness is found for one of its primes)."""
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic primality test for n below ~3.3e24.
-
-    Uses trial division by a few small primes, then Miller-Rabin with a
-    fixed witness set that is proven exhaustive below ``_MR_PROVEN_BOUND``.
-    Past that bound no verdict is proven, so FactorizationError is raised.
-    """
-    if n < 2:
-        return False
-    for p in _MR_WITNESSES:
-        if n % p == 0:
-            return n == p
-    if n >= _MR_PROVEN_BOUND:
-        raise FactorizationError(
-            f"factorization exceeded bound: {n} is past the proven primality bound"
-        )
+def _strong_probable_prime(n: int) -> bool:
+    """Miller-Rabin for odd n > 41 with every base in _MR_WITNESSES."""
     r = _vp_int(n - 1, 2)
     d = (n - 1) >> r
     for a in _MR_WITNESSES:
@@ -86,6 +99,54 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def _lucas_certificate(n: int) -> bool:
+    """Prove the probable prime n prime from the factorization of n - 1.
+
+    Brillhart-Lehmer-Selfridge (1975): if for every prime q | n - 1 some
+    a has a**(n-1) = 1 and a**((n-1)/q) != 1 (mod n), then n is prime.
+    Proof: for a prime r | n the order of that a mod r divides n - 1 but
+    not (n - 1)/q, so q**vq(n-1) divides it, and it divides r - 1.  Over
+    all q, n - 1 divides r - 1, so r >= n and n = r.  The factors of
+    n - 1 come from factor_int, whose primes past the Miller-Rabin bound
+    are certified the same way (Pratt 1975).
+
+    Returns False when some a has a**(n-1) != 1, which proves n
+    composite; raises FactorizationError when n - 1 cannot be factored
+    or no small prime is a witness for some q.
+    """
+    m = n - 1
+    for q in factor_int(m):
+        for a in _SMALL_PRIMES:
+            x = pow(a, m // q, n)
+            if x != 1:
+                break
+        else:
+            raise FactorizationError(
+                f"factorization exceeded bound: no Lucas witness for {q} | {n} - 1"
+            )
+        if pow(x, q, n) != 1:
+            return False
+    return True
+
+
+def is_prime(n: int) -> bool:
+    """Proven primality test: every verdict is exact or raises.
+
+    Small prime divisors first, then Miller-Rabin with bases 2..41,
+    which is a proof below ``_MR_PROVEN_BOUND``.  A probable prime at or
+    past that bound is proven by a Lucas n - 1 certificate; if none is
+    found, FactorizationError is raised rather than a verdict returned.
+    """
+    if n < 2:
+        return False
+    for p in _MR_WITNESSES:
+        if n % p == 0:
+            return n == p
+    if not _strong_probable_prime(n):
+        return False
+    return n < _MR_PROVEN_BOUND or _lucas_certificate(n)
 
 
 @dataclass(frozen=True)
@@ -137,12 +198,29 @@ def parse_rational(text: str) -> Fraction:
 
 
 def _vp_int(n: int, p: int) -> int:
-    # n != 0
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+    """Exponent of p in the nonzero integer n.
+
+    p = 2 reads the trailing zero bits.  An odd p past v = 1 is divided
+    out in chunks p, p**2, p**4, ... while they divide, starting again
+    from p when one does not, so v costs O(log(v)**2) divisions, not v.
+    """
+    if n % p:
+        return 0
+    if p == 2:
+        return (n & -n).bit_length() - 1
+    n //= p
+    if n % p:
+        return 1
+    v, q, e = 1, p, 1
+    while True:
+        if n % q == 0:
+            n //= q
+            v += e
+            q, e = q * q, e * 2
+        elif e == 1:
+            return v
+        else:
+            q, e = p, 1
 
 
 def vp(x: Fraction | int, p: int) -> int | float:
@@ -263,38 +341,76 @@ def on_sphere(x: Fraction, center: Fraction, radius_exponent: int, p: int) -> bo
     return vp(x - center, p) == -radius_exponent
 
 
-def factor_int(n: int) -> dict[int, int]:
-    """Factor |n| into primes: trial division to 1e6, then one primality test.
+def _rho_split(n: int) -> int:
+    """A proper divisor of the odd composite n, by Brent's rho (Brent 1980).
 
-    A composite cofactor beyond the trial bound, or a cofactor too large
-    for the proven primality test, raises FactorizationError rather than
-    returning a partial answer: downstream "all but finitely many places"
-    reports must never rest on a scan cutoff.
+    For c = 1, 2, 3, ... iterate y -> y*y + c (mod n) from y = 2, find a
+    cycle by doubling the stride, and batch the gcds over _RHO_BATCH
+    products of |x - y|; a batch whose gcd is n is replayed one step at
+    a time, and a seed that still only finds n gives way to the next.
+    All seeds share one budget of _RHO_STEP_BUDGET steps.
+    """
+    steps = 0
+    for c in itertools.count(1):
+        y = ys = 2
+        q = g = r = 1
+        while g == 1:
+            steps += 2 * r
+            if steps > _RHO_STEP_BUDGET:
+                raise FactorizationError(
+                    f"factorization exceeded bound: rho step budget spent on {n}"
+                )
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(x - ys, n)
+        if g != n:
+            return g
+
+
+def factor_int(n: int) -> dict[int, int]:
+    """Factor |n| into proven primes, smallest first.
+
+    Trial division by the primes below _TRIAL_BOUND, then each cofactor
+    is tested by is_prime and split by Brent's rho until every part is
+    prime.  A composite rho cannot split within its budget, or a prime
+    that cannot be proven, raises FactorizationError rather than
+    returning a partial answer: downstream "all but finitely many
+    places" reports must never rest on an unproven factor.
     """
     n = abs(n)
     if n == 0:
         raise ValueError("cannot factor zero")
     factors: dict[int, int] = {}
-    for p in (2, 3):
-        v = _vp_int(n, p)
-        if v:
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
+        if n % p == 0:
+            v = _vp_int(n, p)
             factors[p] = v
             n //= p**v
-    q = 5
-    while q * q <= n and q <= _TRIAL_DIVISION_BOUND:
-        for step in (q, q + 2):
-            if n % step == 0:
-                v = _vp_int(n, step)
-                factors[step] = v
-                n //= step**v
-        q += 6
-    if n > 1:
-        if not is_prime(n):
-            raise FactorizationError(
-                f"factorization exceeded bound: composite cofactor {n}"
-            )
-        factors[n] = 1
-    return factors
+    cofactors = [n] if n > 1 else []
+    while cofactors:
+        m = cofactors.pop()
+        if m < _TRIAL_BOUND**2 or is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+        else:
+            d = _rho_split(m)
+            cofactors += (d, m // d)
+    return dict(sorted(factors.items()))
 
 
 def principal_profile(x: Fraction | int) -> dict[int, int]:

@@ -294,8 +294,8 @@ def test_check_adelic_image_worked():
         (f, F(1), [3]),  # f(1) = 4/3
         (f, F(0), []),  # f(0) = 0
         (f, F(3, 2), [2]),  # f(3/2) = 3/2
-        # The numerator of g(x) holds 3415409 * 148255097, which trial
-        # division to 1e6 cannot split; the answer never needs it.
+        # The numerator of g(x) holds 3415409 * 148255097, which only
+        # rho can split; the answer never needs it, so it is not factored.
         (g, F(-807, 23), [3, 139, 2273, 178064401]),
     ]
     for h, x, primes in cases:

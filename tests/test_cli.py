@@ -138,23 +138,50 @@ def test_exit_code_size_budget(capsys):
     assert "size budget" in err
 
 
+# A prime past the proven Miller-Rabin bound whose n - 1 = 30*p*q, with p
+# and q primes of 25 and 26 digits, is out of reach of the rho budget: no
+# Lucas certificate, so no verdict.
+UNPROVABLE_PRIME = 30 * 1000000000000000000000007 * 10000000000000000000000013 + 1
+
+
 def test_exit_code_unprovable_prime_cofactor(capsys):
-    # c*xi + d = 2**89 - 1 at xi = 0: prime, but past the proven primality bound
-    p = 2**89 - 1
+    # c*xi + d = UNPROVABLE_PRIME at xi = 0: prime, but it cannot be proven
+    p = UNPROVABLE_PRIME
     code, _, err = run_cli(capsys, ["classify", "--map", f"1/{p},0,1,{p}"])
     assert code == 3
     assert "factorization" in err
 
 
 @pytest.mark.parametrize("argv", [
-    ["classify", "--map", "2,0,1,1/2", "--place", str(2**89 - 1)],
-    ["sphere-check", "--map", "2,0,1,1/2", "--xi", "0", "--p", str(2**89 - 1), "--rho-exp", "0"],
+    ["classify", "--map", "2,0,1,1/2", "--place", str(UNPROVABLE_PRIME)],
+    ["sphere-check", "--map", "2,0,1,1/2", "--xi", "0", "--p", str(UNPROVABLE_PRIME), "--rho-exp", "0"],
 ], ids=["classify", "sphere-check"])
 def test_exit_code_unprovable_prime_place(capsys, argv):
-    # a place must be proven prime; past the proven bound that is an exceeded budget
+    # a place must be proven prime; a prime without a certificate is an exceeded budget
     code, _, err = run_cli(capsys, argv)
     assert code == 3
     assert "factorization" in err
+
+
+@pytest.mark.parametrize("n, primes", [
+    (2**89 - 1, [2**89 - 1]),  # prime past the Miller-Rabin bound, certified
+    (1000003 * 1000033, [1000003, 1000033]),  # both factors past trial division
+    # strong pseudoprime to every prime base up to 37
+    (399165290221 * 798330580441, [399165290221, 798330580441]),
+], ids=["big-prime", "semiprime", "psi12"])
+def test_classify_exceptional_primes_past_trial_division(capsys, n, primes):
+    code, out, _ = run_cli(capsys, ["classify", "--map", f"1/{n},0,1,{n}", "--json"])
+    assert code == 0
+    for report in json.loads(out)["reports"]:
+        assert [e["p"] for e in report["exceptional"]] == primes
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--map", "2,0,1,1/2", "--place", str(2**89 - 1)],
+    ["sphere-check", "--map", "2,0,1,1/2", "--xi", "0", "--p", str(2**89 - 1), "--rho-exp", "0"],
+], ids=["classify", "sphere-check"])
+def test_certified_prime_place(capsys, argv):
+    assert run_cli(capsys, argv)[0] == 0
 
 
 def test_exit_code_irrational_fixed_points(capsys):

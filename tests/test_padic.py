@@ -4,8 +4,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from qmobius import padic
 from qmobius.padic import (
     FactorizationError,
     NormValue,
@@ -185,6 +186,18 @@ def test_is_prime_carmichael_and_large():
     assert not is_prime(2**32 + 1)
 
 
+# Strong pseudoprime to every prime base up to 37: 399165290221 * 798330580441.
+PSI_12 = 318665857834031151167461
+MERSENNE_89 = 2**89 - 1
+# Two primes of 25 and 26 digits: rho needs ~10**12 steps to split their
+# product, far past its budget.
+P25 = 1000000000000000000000007
+P26 = 10000000000000000000000013
+# A prime past the proven Miller-Rabin bound whose n - 1 = 30 * P25 * P26
+# cannot be factored, so no Lucas certificate exists within the budget.
+UNPROVABLE_PRIME = 30 * P25 * P26 + 1
+
+
 def test_factor_int():
     assert factor_int(360) == {2: 3, 3: 2, 5: 1}
     assert factor_int(1) == {}
@@ -192,23 +205,120 @@ def test_factor_int():
     assert factor_int(10**6 + 3) == {10**6 + 3: 1}  # prime cofactor above the bound
 
 
+def test_factor_int_splits_cofactors_past_trial_division():
+    assert factor_int((10**6 + 3) ** 2) == {10**6 + 3: 2}
+    assert factor_int(1000036000099) == {1000003: 1, 1000033: 1}
+    assert factor_int(506351792589673) == {3415409: 1, 148255097: 1}
+    assert factor_int(1883597579651) == {1067767: 1, 1764053: 1}
+    assert factor_int(2**64 + 1) == {274177: 1, 67280421310721: 1}
+
+
 def test_factor_int_composite_cofactor_fails():
-    p = 10**6 + 3
-    with pytest.raises(FactorizationError):
-        factor_int(p * p)
+    # neither prime factor is within reach of the rho step budget
+    with pytest.raises(FactorizationError, match="rho step budget"):
+        factor_int(P25 * P26)
 
 
 def test_factor_int_cofactor_past_proven_bound_fails():
-    # 2**89 - 1 is prime, but above the bound where Miller-Rabin is proven
-    with pytest.raises(FactorizationError):
-        factor_int(2**89 - 1)
+    # prime, but its Lucas certificate needs n - 1 factored, which rho cannot do
+    with pytest.raises(FactorizationError, match="factorization"):
+        factor_int(UNPROVABLE_PRIME)
+
+
+def test_prime_past_proven_bound_is_certified():
+    # n - 1 = 2*3*5*17*23*89*353*397*683*2113*2931542417 gives the certificate
+    assert is_prime(MERSENNE_89)
+    assert factor_int(MERSENNE_89) == {MERSENNE_89: 1}
+    assert factor_int(6 * MERSENNE_89) == {2: 1, 3: 1, MERSENNE_89: 1}
+    assert Place.finite(MERSENNE_89).prime == MERSENNE_89
 
 
 @pytest.mark.parametrize("check", [is_prime, Place.finite], ids=["is_prime", "Place.finite"])
 def test_primality_past_proven_bound_fails(check):
-    # 2**89 - 1 is prime, but no verdict past the Miller-Rabin bound is proven
+    # no verdict past the Miller-Rabin bound is returned without a certificate
     with pytest.raises(FactorizationError, match="factorization"):
-        check(2**89 - 1)
+        check(UNPROVABLE_PRIME)
+
+
+def test_strong_pseudoprime_to_bases_up_to_37_is_composite():
+    assert not is_prime(PSI_12)
+    assert factor_int(PSI_12) == {399165290221: 1, 798330580441: 1}
+    with pytest.raises(ValueError, match="not a prime"):
+        Place(PSI_12)
+
+
+@given(st.integers(min_value=1, max_value=10**18))
+@example(1883597579651)
+@example(3650954052793)
+@example(7750353607291)
+@example(1000036000099)
+@example(506351792589673)
+def test_factor_int_reconstructs_into_primes(n):
+    factors = factor_int(n)
+    assert math.prod(p**v for p, v in factors.items()) == n
+    assert all(v >= 1 and is_prime(p) for p, v in factors.items())
+    assert list(factors) == sorted(factors)
+
+
+@given(st.integers(min_value=1, max_value=10**18))
+@example(1883597579651)
+@example(3650954052793)
+@example(7750353607291)
+@example(1000036000099)
+@example(506351792589673)
+@example(PSI_12)
+@example(2**64 + 1)
+@example(MERSENNE_89)
+@example(6 * MERSENNE_89)
+@settings(deadline=None)  # the first sympy call imports and warms the oracle
+def test_factor_int_matches_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    assert factor_int(n) == sympy.factorint(n)
+
+
+@given(st.integers(min_value=-10, max_value=10**7) | st.integers(min_value=0, max_value=10**30))
+@example(PSI_12)
+@example(MERSENNE_89)
+@example(UNPROVABLE_PRIME - 2)
+@settings(deadline=None)  # the first sympy call imports and warms the oracle
+def test_is_prime_matches_sympy(n):
+    """Every verdict agrees with sympy; past the proven bound the only
+    alternative is FactorizationError, never an unproven answer."""
+    sympy = pytest.importorskip("sympy")
+    try:
+        verdict = is_prime(n)
+    except FactorizationError:
+        assert n >= padic._MR_PROVEN_BOUND and sympy.isprime(n)
+    else:
+        assert verdict == sympy.isprime(n)
+
+
+def test_hard_coded_inputs_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    assert sympy.isprime(P25) and sympy.isprime(P26) and sympy.isprime(UNPROVABLE_PRIME)
+    assert UNPROVABLE_PRIME > padic._MR_PROVEN_BOUND
+    assert sympy.factorint(PSI_12) == {399165290221: 1, 798330580441: 1}
+    assert sympy.isprime(MERSENNE_89)
+
+
+def _vp_by_division(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+@given(
+    st.sampled_from((2, 3, 5, 97)),
+    st.integers(min_value=0, max_value=2000),
+    st.integers(min_value=1, max_value=10**30),
+    st.booleans(),
+)
+def test_vp_matches_one_division_at_a_time(p, v, unit, negative):
+    n = unit * p**v * (-1 if negative else 1)
+    assert vp(n, p) == _vp_by_division(n, p)
+    assert vp(Fraction(1, n), p) == -_vp_by_division(n, p)
 
 
 def test_principal_profile():

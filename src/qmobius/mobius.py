@@ -3,9 +3,9 @@
 The standing conditions are ad - bc = 1 and c != 0, checked at
 construction.  Maps act on the projective line over Q: the pole -d/c
 goes to the point at infinity and infinity goes to a/c, so every map is
-a total bijection.  Matrix powers, the named one-parameter families with
-rational fixed points, their closed-form n-th iterates, the cross-ratio
-and projective periodicity all live here.
+a total bijection.  Matrix powers (and so the n-th iterate of any map),
+the named one-parameter families with rational fixed points, the
+cross-ratio and projective periodicity all live here.
 
 All values are immutable and all operations pure.
 """
@@ -19,7 +19,6 @@ from .padic import exact_sqrt, parse_rational
 
 __all__ = [
     "INFINITY",
-    "CASE_TAGS",
     "FamilyParameter",
     "FixedPointResult",
     "Infinity",
@@ -79,7 +78,11 @@ def format_point(x: ProjectivePoint) -> str:
 @dataclass(frozen=True)
 class Mat2:
     """An invertible 2x2 rational matrix acting projectively; a map power may
-    be scalar or lose its pole, so it is a Mat2 rather than a MobiusMap."""
+    be scalar or lose its pole, so it is a Mat2 rather than a MobiusMap.
+
+    Equality goes by the entries alone, like the generated field hash, so
+    a MobiusMap equals the Mat2 with the same entries.
+    """
 
     a: Fraction
     b: Fraction
@@ -89,6 +92,11 @@ class Mat2:
     def __post_init__(self) -> None:
         if self.det() == 0:
             raise ValueError("singular matrix has no projective action")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Mat2):
+            return NotImplemented
+        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
 
     def det(self) -> Fraction:
         return self.a * self.d - self.b * self.c
@@ -118,7 +126,7 @@ class Mat2:
     __call__ = apply
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MobiusMap(Mat2):
     """f(x) = (ax+b)/(cx+d): a Mat2 with ad - bc = 1 and c != 0."""
 
@@ -305,8 +313,6 @@ def case_A(a: Fraction, c: Fraction) -> MobiusMap:
     """b = 0 family: (a, 0, c, 1/a)."""
     if a == 0:
         raise ValueError("case A requires a != 0")
-    if c == 0:
-        raise ValueError("case A requires c != 0")
     return MobiusMap(a, Fraction(0), c, 1 / a)
 
 
@@ -314,8 +320,6 @@ def case_B(t: Fraction) -> MobiusMap:
     """b = c, d = a family, parametrized so that a^2 - c^2 = 1."""
     if t in (1, -1):
         raise ValueError(f"parametrization pole: t = {t}")
-    if t == 0:
-        raise ValueError("case B requires t != 0 (c would vanish)")
     one_minus = 1 - t * t
     a = (1 + t * t) / one_minus
     c = 2 * t / one_minus
@@ -331,11 +335,10 @@ def case_C(a: Fraction, c: Fraction) -> MobiusMap:
 
 
 def case_C_sub(c: Fraction, sign: int) -> MobiusMap:
-    """b = -c, d = a - 2c subfamily with (a-c)^2 = 1; fused fixed point 1."""
-    if c == 0:
-        raise ValueError("case C subcase requires c != 0")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1: got {sign}")
+    """b = -c, d = a - 2c subfamily with (a-c)^2 = 1; fused fixed point 1.
+
+    det = a(a - 2c) + c^2 = sign^2, so MobiusMap rejects c = 0 and sign != +-1.
+    """
     a = c + sign
     return MobiusMap(a, -c, c, a - 2 * c)
 
@@ -349,48 +352,27 @@ def case_D(a: Fraction, c: Fraction) -> MobiusMap:
 
 
 def case_D_sub(c: Fraction, sign: int) -> MobiusMap:
-    """b = -c, d = a + 2c subfamily with (a+c)^2 = 1; fused fixed point -1."""
-    if c == 0:
-        raise ValueError("case D subcase requires c != 0")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1: got {sign}")
+    """b = -c, d = a + 2c subfamily with (a+c)^2 = 1; fused fixed point -1.
+
+    det = a(a + 2c) + c^2 = sign^2, so MobiusMap rejects c = 0 and sign != +-1.
+    """
     a = -c + sign
     return MobiusMap(a, -c, c, a + 2 * c)
 
 
-CASE_TAGS = ("C", "C_sub", "D", "D_sub")
+def closed_iterate(f: MobiusMap, x0: ProjectivePoint, n: int) -> ProjectivePoint:
+    """The n-th iterate of any map, F**n applied to x0; power checks n >= 1.
 
-
-def _check_case(tag: str, f: MobiusMap) -> None:
-    ok = {
-        "C": lambda: f.d == 2 - f.a,
-        "C_sub": lambda: f.b == -f.c and f.d == f.a - 2 * f.c,
-        "D": lambda: f.d == -2 - f.a,
-        "D_sub": lambda: f.b == -f.c and f.d == f.a + 2 * f.c,
-    }
-    if tag not in ok:
-        raise ValueError(f"unknown case tag: {tag!r} (expected one of {CASE_TAGS})")
-    if not ok[tag]():
-        raise ValueError(f"map {f} does not satisfy the case {tag} constraints")
-
-
-def closed_iterate(tag: str, f: MobiusMap, x0: ProjectivePoint, n: int) -> ProjectivePoint:
-    """Explicit n-th iterate of the four fused-fixed-point families: F**n applied to x0.
-
-    Each family has trace t = 2e with e = +-1, and then the sequence
-    u_(k+1) = t*u_k - u_(k-1) of MobiusMap.power is u_n = e**(n-1) * n
-    (induction: 2e * e**(k-1) * k - e**(k-2) * (k-1) = e**k * (k+1)).
-    So F**n = e**(n-1) * (n*F - e*(n-1)*I), entries linear in n.  With
-    xi = (a-d)/(2c) the fused fixed point, c*xi + d = e, and
-    f(x) - xi = (x - xi)/((c*xi+d)(cx+d)) says u = 1/(x - xi) moves by
-    c/(c*xi + d) at each step on the whole projective line (x = xi is
-    u = inf, x = inf is u = 0); F**n is that translation taken n times,
-    1/(x_n - xi) = 1/(x0 - xi) + n*c/(c*xi + d).  The map must satisfy
-    the tagged case's defining coefficient constraints.
+    It is explicit for the four fused-fixed-point families, each of trace
+    t = 2e with e = +-1: there the sequence u_(k+1) = t*u_k - u_(k-1) of
+    MobiusMap.power is u_n = e**(n-1) * n (induction: 2e * e**(k-1) * k -
+    e**(k-2) * (k-1) = e**k * (k+1)).  So F**n = e**(n-1) * (n*F -
+    e*(n-1)*I), entries linear in n.  With xi = (a-d)/(2c) the fused
+    fixed point, c*xi + d = e, and f(x) - xi = (x - xi)/((c*xi+d)(cx+d))
+    says u = 1/(x - xi) moves by c/(c*xi + d) at each step on the whole
+    projective line (x = xi is u = inf, x = inf is u = 0); F**n is that
+    translation taken n times, 1/(x_n - xi) = 1/(x0 - xi) + n*c/(c*xi + d).
     """
-    _check_case(tag, f)
-    if n < 1:
-        raise ValueError(f"iterate count must be >= 1: got {n}")
     return f.power(n).apply(x0)
 
 
@@ -402,8 +384,10 @@ def cross_ratio(
 ) -> Fraction:
     """(p1-p3)(p2-p4) / ((p1-p4)(p2-p3)) for four distinct points.
 
-    At most one point may be infinite; the two factors containing it drop
-    out (the standard degenerate limit).  Preserved exactly by every
+    Each difference p - q is the bracket x_p*y_q - x_q*y_p of homogeneous
+    coordinates, with (x : 1) for a finite x and (1 : 0) for infinity, so
+    it is 1 when p = inf and -1 when q = inf.  Each point occurs once above
+    and once below, so its scale cancels.  Preserved exactly by every
     MobiusMap.
     """
     points = (p1, p2, p3, p4)
@@ -411,15 +395,11 @@ def cross_ratio(
         for j in range(i + 1, 4):
             if points[i] == points[j]:
                 raise ValueError(f"cross-ratio requires distinct points: {points[i]!r} repeats")
-    if isinstance(p1, Infinity):
-        return (p2 - p4) / (p2 - p3)
-    if isinstance(p2, Infinity):
-        return (p1 - p3) / (p1 - p4)
-    if isinstance(p3, Infinity):
-        return (p2 - p4) / (p1 - p4)
-    if isinstance(p4, Infinity):
-        return (p1 - p3) / (p2 - p3)
-    return ((p1 - p3) * (p2 - p4)) / ((p1 - p4) * (p2 - p3))
+
+    def diff(p: ProjectivePoint, q: ProjectivePoint) -> Fraction | int:
+        return 1 if isinstance(p, Infinity) else -1 if isinstance(q, Infinity) else p - q
+
+    return diff(p1, p3) * diff(p2, p4) / (diff(p1, p4) * diff(p2, p3))
 
 
 def detect_period(f: MobiusMap, k_max: int) -> int | None:

@@ -113,11 +113,17 @@ def _lucas_certificate(n: int) -> bool:
     are certified the same way (Pratt 1975).
 
     Returns False when some a has a**(n-1) != 1, which proves n
-    composite; raises FactorizationError when n - 1 cannot be factored
-    or no small prime is a witness for some q.
+    composite; raises FactorizationError, naming n, when n - 1 cannot be
+    factored or no small prime is a witness for some q.
     """
     m = n - 1
-    for q in factor_int(m):
+    try:
+        primes = factor_int(m)
+    except FactorizationError as exc:
+        raise FactorizationError(
+            f"factorization exceeded bound: cannot prove {n} prime: {exc}"
+        ) from exc
+    for q in primes:
         for a in _SMALL_PRIMES:
             x = pow(a, m // q, n)
             if x != 1:
@@ -182,19 +188,14 @@ def parse_rational(text: str) -> Fraction:
     the Fraction string constructor itself rejects.
     """
     text = text.strip()
-    if "/" in text:
-        num_text, _, den_text = text.partition("/")
-        try:
-            num, den = int(num_text), int(den_text)
-        except ValueError:
-            raise ValueError(f"not a rational: {text!r}") from None
-        if den == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(num, den)
+    num_text, slash, den_text = text.partition("/")
     try:
-        return Fraction(int(text))
+        num, den = int(num_text), int(den_text) if slash else 1
     except ValueError:
         raise ValueError(f"not a rational: {text!r}") from None
+    if den == 0:
+        raise ValueError(f"zero denominator: {text!r}")
+    return Fraction(num, den)
 
 
 def _vp_int(n: int, p: int) -> int:
@@ -381,15 +382,36 @@ def _rho_split(n: int) -> int:
             return g
 
 
+def _perfect_power(m: int) -> tuple[int, int] | None:
+    """(r, k) with m = r**k for a prime k, or None.
+
+    m has no prime factor below _TRIAL_BOUND, so r >= _TRIAL_BOUND and
+    only the k with _TRIAL_BOUND**k <= m can occur.  Integer Newton steps
+    from 2**ceil(bits/k), which is at least the k-th root, decrease to
+    its floor exactly, for any size of m.
+    """
+    for k in _SMALL_PRIMES:
+        if _TRIAL_BOUND**k > m:
+            break
+        r = 1 << -(-m.bit_length() // k)
+        while (y := ((k - 1) * r + m // r ** (k - 1)) // k) < r:
+            r = y
+        if r**k == m:
+            return r, k
+    return None
+
+
 def factor_int(n: int) -> dict[int, int]:
     """Factor |n| into proven primes, smallest first.
 
     Trial division by the primes below _TRIAL_BOUND, then each cofactor
-    is tested by is_prime and split by Brent's rho until every part is
-    prime.  A composite rho cannot split within its budget, or a prime
-    that cannot be proven, raises FactorizationError rather than
-    returning a partial answer: downstream "all but finitely many
-    places" reports must never rest on an unproven factor.
+    is tested by is_prime, taken apart as a perfect power r**k (rho's
+    cost follows the least prime, however often it divides), or split
+    by Brent's rho, until every part is prime.  A composite rho cannot
+    split within its budget, or a prime that cannot be proven, raises
+    FactorizationError rather than returning a partial answer:
+    downstream "all but finitely many places" reports must never rest
+    on an unproven factor.
     """
     n = abs(n)
     if n == 0:
@@ -402,14 +424,16 @@ def factor_int(n: int) -> dict[int, int]:
             v = _vp_int(n, p)
             factors[p] = v
             n //= p**v
-    cofactors = [n] if n > 1 else []
+    cofactors = [(n, 1)] if n > 1 else []  # (m, e): m**e divides n
     while cofactors:
-        m = cofactors.pop()
+        m, e = cofactors.pop()
         if m < _TRIAL_BOUND**2 or is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
+            factors[m] = factors.get(m, 0) + e
+        elif power := _perfect_power(m):
+            cofactors.append((power[0], e * power[1]))
         else:
             d = _rho_split(m)
-            cofactors += (d, m // d)
+            cofactors += ((d, e), (m // d, e))
     return dict(sorted(factors.items()))
 
 

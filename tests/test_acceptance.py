@@ -157,13 +157,13 @@ def test_criterion_04_closed_iterates_match_apply():
             x = x0 = _rand_fraction(rng, 20)
             for n in range(1, 51):
                 x = f.apply(x)
-                closed = closed_iterate(tag, f, x0, n)
+                closed = closed_iterate(f, x0, n)
                 if isinstance(x, Infinity):
                     assert isinstance(closed, Infinity)
                 else:
                     assert closed == x
                 checked += 1
-    assert closed_iterate("C", case_C(F(2), F(1)), F(2), 3) == F(5, 4)
+    assert closed_iterate(case_C(F(2), F(1)), F(2), 3) == F(5, 4)
     print(f"\nPASS criterion 4: closed-form iterates equal repeated apply "
           f"({checked} comparisons, exact)")
 

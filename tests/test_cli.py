@@ -150,6 +150,7 @@ def test_exit_code_unprovable_prime_cofactor(capsys):
     code, _, err = run_cli(capsys, ["classify", "--map", f"1/{p},0,1,{p}"])
     assert code == 3
     assert "factorization" in err
+    assert str(p) in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -161,6 +162,7 @@ def test_exit_code_unprovable_prime_place(capsys, argv):
     code, _, err = run_cli(capsys, argv)
     assert code == 3
     assert "factorization" in err
+    assert str(UNPROVABLE_PRIME) in err
 
 
 @pytest.mark.parametrize("n, primes", [
@@ -200,6 +202,10 @@ def test_fixed_points_command(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["fixed_points"] == {"kind": "pair", "points": ["3/2", "0"]}
+
+    code, out, _ = run_cli(capsys, ["fixed-points", "--map", "1,1,1,2", "--json"])
+    assert code == 0
+    assert json.loads(out)["fixed_points"] == {"kind": "irrational", "discriminant": "5"}
 
 
 def test_classify_single_place(capsys):
@@ -280,6 +286,10 @@ def test_cross_ratio_command(capsys):
     assert code == 2
     assert "distinct" in err
 
+    code, _, err = run_cli(capsys, ["cross-ratio", "--points", "0,1,2"])
+    assert code == 2
+    assert "4 comma-separated points" in err
+
 
 def test_basin_command(capsys):
     code, out, _ = run_cli(
@@ -319,6 +329,14 @@ def test_trace_command(capsys):
     assert code == 0
     assert json.loads(out)["valuations"] == [1, 1, 1, 1, 1]
 
+    # 0 -> inf -> 2 -> 3/2: the distance to infinity has no valuation
+    code, out, _ = run_cli(
+        capsys,
+        ["trace", "--map", "2,-1,1,0", "--x0", "0", "--xi", "1", "--place", "3", "--n", "3", "--json"],
+    )
+    assert code == 0
+    assert json.loads(out)["valuations"] == [0, None, 0, 0]
+
 
 def test_bad_place_is_input_error(capsys):
     code, _, err = run_cli(
@@ -327,6 +345,10 @@ def test_bad_place_is_input_error(capsys):
     )
     assert code == 2
     assert "prime" in err
+
+    code, _, err = run_cli(capsys, ["classify", "--map", "2,0,1,1/2", "--place", "x"])
+    assert code == 2
+    assert "'real' or a prime" in err
 
 
 def test_preset_map_reads_back_into_classify(capsys):

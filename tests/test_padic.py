@@ -42,7 +42,7 @@ def test_parse_rational_normalizes_signed_denominator():
     assert str(parse_rational("4/-6")) == "-2/3"
 
 
-@pytest.mark.parametrize("bad", ["", "x", "1/0", "1/2/3", "1.5", "2 3"])
+@pytest.mark.parametrize("bad", ["", "x", "1/0", "1/2/3", "1.5", "2 3", "3/", "/3"])
 def test_parse_rational_rejects(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
@@ -184,11 +184,17 @@ def test_is_prime_carmichael_and_large():
     assert not is_prime(341)
     assert is_prime(2**31 - 1)
     assert not is_prime(2**32 + 1)
+    # strong pseudoprime to every base up to 41: the Lucas step proves it composite
+    assert not is_prime(PSI_13)
 
 
 # Strong pseudoprime to every prime base up to 37: 399165290221 * 798330580441.
 PSI_12 = 318665857834031151167461
+# ... and to every prime base up to 41: 1287836182261 * 2575672364521.
+PSI_13 = 3317044064679887385961981
 MERSENNE_89 = 2**89 - 1
+# A prime past 10**12: rho alone needs about a million steps to find it.
+P13 = 10**12 + 39
 # Two primes of 25 and 26 digits: rho needs ~10**12 steps to split their
 # product, far past its budget.
 P25 = 1000000000000000000000007
@@ -211,12 +217,21 @@ def test_factor_int_splits_cofactors_past_trial_division():
     assert factor_int(506351792589673) == {3415409: 1, 148255097: 1}
     assert factor_int(1883597579651) == {1067767: 1, 1764053: 1}
     assert factor_int(2**64 + 1) == {274177: 1, 67280421310721: 1}
+    # a perfect power r**k splits at once, whatever the size of the prime r
+    assert factor_int(3 * MERSENNE_89**2) == {3: 1, MERSENNE_89: 2}
+    assert factor_int(MERSENNE_89**3) == {MERSENNE_89: 3}
+    assert factor_int(7 * P13**2) == {7: 1, P13: 2}
+    assert factor_int(P13**5) == {P13: 5}
+    assert factor_int(3**5 * P13**6) == {3: 5, P13: 6}  # a square of a cube
 
 
 def test_factor_int_composite_cofactor_fails():
     # neither prime factor is within reach of the rho step budget
     with pytest.raises(FactorizationError, match="rho step budget"):
         factor_int(P25 * P26)
+    # a square is taken apart first, and its root reaches rho
+    with pytest.raises(FactorizationError, match=f"rho step budget spent on {P25 * P26}$"):
+        factor_int((P25 * P26) ** 2)
 
 
 def test_factor_int_cofactor_past_proven_bound_fails():
@@ -270,6 +285,10 @@ def test_factor_int_reconstructs_into_primes(n):
 @example(2**64 + 1)
 @example(MERSENNE_89)
 @example(6 * MERSENNE_89)
+@example(3 * MERSENNE_89**2)
+@example(MERSENNE_89**3)
+@example(7 * P13**2)
+@example(P13**5)
 @settings(deadline=None)  # the first sympy call imports and warms the oracle
 def test_factor_int_matches_sympy(n):
     sympy = pytest.importorskip("sympy")
@@ -278,6 +297,7 @@ def test_factor_int_matches_sympy(n):
 
 @given(st.integers(min_value=-10, max_value=10**7) | st.integers(min_value=0, max_value=10**30))
 @example(PSI_12)
+@example(PSI_13)
 @example(MERSENNE_89)
 @example(UNPROVABLE_PRIME - 2)
 @settings(deadline=None)  # the first sympy call imports and warms the oracle
@@ -298,6 +318,8 @@ def test_hard_coded_inputs_match_sympy():
     assert sympy.isprime(P25) and sympy.isprime(P26) and sympy.isprime(UNPROVABLE_PRIME)
     assert UNPROVABLE_PRIME > padic._MR_PROVEN_BOUND
     assert sympy.factorint(PSI_12) == {399165290221: 1, 798330580441: 1}
+    assert sympy.factorint(PSI_13) == {1287836182261: 1, 2575672364521: 1}
+    assert sympy.isprime(P13)
     assert sympy.isprime(MERSENNE_89)
 
 

@@ -4,6 +4,12 @@ Every subcommand builds one payload dictionary and prints it either as
 an indented text table (default) or as a single JSON document (--json),
 so the two modes can never disagree about values.
 
+Two tables declare the interface.  _FLAGS states each flag once: its
+argparse keywords and, for text the library parses, its parser.
+_COMMANDS states each command once: its handler, its help and its flags.
+The parser, the dispatch and the usage line are all built from them, and
+a handler takes the parsed values as keywords and returns the payload.
+
 Exit codes: 0 success; 2 invalid input, with a diagnostic naming the
 violated invariant; 3 resource-budget aborts (orbit bit budget,
 factorization bound); 64 unknown or missing subcommand.
@@ -12,8 +18,10 @@ factorization bound); 64 unknown or missing subcommand.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
+from fractions import Fraction
 
 from .classify import _rational_fixed_points, adelic_report, classify_at, siegel_radius
 from .mobius import (
@@ -59,136 +67,103 @@ def _parse_place(text: str) -> Place:
     return Place.finite(p)
 
 
+def _parse_grid(text: str) -> list[Fraction]:
+    return [parse_rational(t) for t in text.split(",")]
+
+
+def _parse_points(text: str) -> list[ProjectivePoint]:
+    parts = text.split(",")
+    if len(parts) != 4:
+        raise ValueError(f"expected 4 comma-separated points: {text!r}")
+    return [parse_point(t) for t in parts]
+
+
 def _fixed_points_payload(f: MobiusMap) -> dict:
     result = f.fixed_points()
     if isinstance(result, RationalPair):
-        return {
-            "kind": "pair",
-            "points": [str(result.point1), str(result.point2)],
-        }
+        return {"kind": "pair", "points": [str(result.point1), str(result.point2)]}
     if isinstance(result, RationalDouble):
         return {"kind": "double", "point": str(result.point)}
     return {"kind": "irrational", "discriminant": str(result.discriminant)}
 
 
-def _cmd_fixed_points(args: argparse.Namespace) -> dict:
-    f = parse_map(args.map)
-    return {"map": str(f), "fixed_points": _fixed_points_payload(f)}
+def _cmd_fixed_points(map: MobiusMap) -> dict:
+    return {"map": str(map), "fixed_points": _fixed_points_payload(map)}
 
 
-def _cmd_classify(args: argparse.Namespace) -> dict:
-    f = parse_map(args.map)
-    if args.place is None:
-        return {"map": str(f), "reports": [r.to_json_dict() for r in adelic_report(f)]}
-    place = _parse_place(args.place)
+def _cmd_classify(map: MobiusMap, place: Place | None) -> dict:
+    if place is None:
+        return {"map": str(map), "reports": [r.to_json_dict() for r in adelic_report(map)]}
     reports = []
-    for xi in _rational_fixed_points(f):
-        r = classify_at(f, xi, place)
+    for xi in _rational_fixed_points(map):
+        r = classify_at(map, xi, place)
         reports.append(
             {"fixed_point": str(xi), "verdict": str(r.verdict), "derivative_norm": str(r.derivative_norm)}
         )
-    return {"map": str(f), "place": str(place), "reports": reports}
+    return {"map": str(map), "place": str(place), "reports": reports}
 
 
-def _cmd_orbit(args: argparse.Namespace) -> dict:
-    f = parse_map(args.map)
-    record = run_orbit(f, parse_point(args.x0), args.n, max_bits=args.max_bits)
-    return {"map": str(f), **record.to_json_dict()}
+def _cmd_orbit(map: MobiusMap, x0: ProjectivePoint, n: int, max_bits: int) -> dict:
+    return {"map": str(map), **run_orbit(map, x0, n, max_bits=max_bits).to_json_dict()}
 
 
-def _cmd_trace(args: argparse.Namespace) -> dict:
-    f = parse_map(args.map)
-    x0 = parse_point(args.x0)
-    trace = distance_trace(
-        f,
-        x0,
-        parse_rational(args.xi),
-        _parse_place(args.place),
-        args.n,
-        max_bits=args.max_bits,
-    )
-    return {"map": str(f), "x0": format_point(x0), **trace.to_json_dict()}
+def _cmd_trace(
+    map: MobiusMap, x0: ProjectivePoint, xi: Fraction, place: Place, n: int, max_bits: int
+) -> dict:
+    trace = distance_trace(map, x0, xi, place, n, max_bits=max_bits)
+    return {"map": str(map), "x0": format_point(x0), **trace.to_json_dict()}
 
 
-def _cmd_sphere_check(args: argparse.Namespace) -> dict:
-    f = parse_map(args.map)
-    xi = parse_rational(args.xi)
-    ok, witness = invariant_sphere_check(
-        f, xi, args.p, args.rho_exp, samples=args.samples, n=args.n, max_bits=args.max_bits
-    )
+def _cmd_sphere_check(
+    map: MobiusMap, xi: Fraction, p: int, rho_exp: int, samples: int, n: int, max_bits: int
+) -> dict:
+    ok, witness = invariant_sphere_check(map, xi, p, rho_exp, samples=samples, n=n, max_bits=max_bits)
     payload = {
-        "map": str(f),
+        "map": str(map),
         "xi": str(xi),
-        "p": args.p,
-        "rho_exponent": args.rho_exp,
-        "samples": args.samples,
-        "n": args.n,
+        "p": p,
+        "rho_exponent": rho_exp,
+        "samples": samples,
+        "n": n,
         "invariant": ok,
     }
-    if f.a != 0:
-        radius = siegel_radius(f, args.p)
+    if map.a != 0:
+        radius = siegel_radius(map, p)
         payload["siegel_exponent"] = radius.radius_exponent
         payload["siegel_caveat"] = radius.caveat
-    payload["witness"] = (
-        None if witness is None else {"x0": str(witness[0]), "step": witness[1]}
-    )
+    payload["witness"] = None if witness is None else {"x0": str(witness[0]), "step": witness[1]}
     return payload
 
 
-def _cmd_basin(args: argparse.Namespace) -> dict:
-    f = parse_map(args.map)
-    place = _parse_place(args.place)
-    grid = [parse_rational(t) for t in args.grid.split(",")]
-    sample = basin_sample(f, parse_rational(args.xi), place, grid, n=args.n, max_bits=args.max_bits)
-    return {"map": str(f), "n": args.n, **sample.to_json_dict()}
+def _cmd_basin(
+    map: MobiusMap, place: Place, grid: list[Fraction], xi: Fraction, n: int, max_bits: int
+) -> dict:
+    sample = basin_sample(map, xi, place, grid, n=n, max_bits=max_bits)
+    return {"map": str(map), "n": n, **sample.to_json_dict()}
 
 
-def _cmd_period(args: argparse.Namespace) -> dict:
-    f = parse_map(args.map)
-    return {"map": str(f), "kmax": args.kmax, "period": detect_period(f, args.kmax)}
+def _cmd_period(map: MobiusMap, kmax: int) -> dict:
+    return {"map": str(map), "kmax": kmax, "period": detect_period(map, kmax)}
 
 
-def _cmd_cross_ratio(args: argparse.Namespace) -> dict:
-    parts = args.points.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"expected 4 comma-separated points: {args.points!r}")
-    points: list[ProjectivePoint] = [parse_point(t) for t in parts]
-    value = cross_ratio(*points)
-    return {
-        "points": [format_point(x) for x in points],
-        "value": str(value),
-    }
+def _cmd_cross_ratio(points: list[ProjectivePoint]) -> dict:
+    return {"points": [format_point(x) for x in points], "value": str(cross_ratio(*points))}
 
 
-def _cmd_generate(args: argparse.Namespace) -> dict:
-    fp = FamilyParameter(
-        t=parse_rational(args.t),
-        sign=args.sign,
-        a=parse_rational(args.a),
-        c=parse_rational(args.c),
-    )
+def _cmd_generate(t: str, sign: int, a: str, c: str) -> dict:
+    fp = FamilyParameter(t=parse_rational(t), sign=sign, a=parse_rational(a), c=parse_rational(c))
     f = from_parameter(fp)
-    return {
-        "t": str(fp.t),
-        "sign": fp.sign,
-        "map": str(f),
-        "fixed_points": _fixed_points_payload(f),
-    }
+    return {"t": str(fp.t), "sign": fp.sign, "map": str(f), "fixed_points": _fixed_points_payload(f)}
 
 
-def _require(args: argparse.Namespace, case: str, names: tuple[str, ...]) -> list[str]:
-    missing = [n for n in names if getattr(args, n) is None]
+def _cmd_preset(case: str, a: str | None, c: str | None, t: str | None, sign: int) -> dict:
+    names, build = _PRESETS[case]
+    given = {"a": a, "c": c, "t": t}
+    missing = ", ".join(f"--{name}" for name in names if given[name] is None)
     if missing:
-        flags = ", ".join(f"--{n}" for n in missing)
-        raise ValueError(f"case {case} requires {flags}")
-    return [getattr(args, n) for n in names]
-
-
-def _cmd_preset(args: argparse.Namespace) -> dict:
-    names, build = _PRESETS[args.case]
-    values = [parse_rational(v) for v in _require(args, args.case, names)]
-    f = build(*values, args.sign)
-    return {"case": args.case, "map": str(f), "fixed_points": _fixed_points_payload(f)}
+        raise ValueError(f"case {case} requires {missing}")
+    f = build(*(parse_rational(given[name]) for name in names), sign)
+    return {"case": case, "map": str(f), "fixed_points": _fixed_points_payload(f)}
 
 
 # case -> (flags the family needs, constructor called with them and --sign)
@@ -201,17 +176,59 @@ _PRESETS = {
     "D2": (("c",), case_D_sub),
 }
 
-_HANDLERS = {
-    "fixed-points": _cmd_fixed_points,
-    "classify": _cmd_classify,
-    "orbit": _cmd_orbit,
-    "trace": _cmd_trace,
-    "sphere-check": _cmd_sphere_check,
-    "basin": _cmd_basin,
-    "period": _cmd_period,
-    "cross-ratio": _cmd_cross_ratio,
-    "generate": _cmd_generate,
-    "preset": _cmd_preset,
+# dest -> (argparse keywords, library parser of the flag's text).  main runs
+# the parser inside its error handling: as argparse's type= it would lose a
+# ValueError's text and let FactorizationError escape.  None where argparse
+# reads the value (type=int) or the handler parses it: preset parses only the
+# flags its case takes.
+_FLAGS = {
+    "map": (dict(required=True, metavar="a,b,c,d", help="coefficients, det = 1"), parse_map),
+    "x0": (dict(required=True, help="initial point (rational or inf)"), parse_point),
+    "xi": (dict(required=True, help="fixed point"), parse_rational),
+    "place": (dict(required=True, help="real or a prime"), _parse_place),
+    "grid": (dict(required=True, help="comma-separated initial points"), _parse_grid),
+    "points": (dict(required=True, metavar="p1,p2,p3,p4", help="points, at most one inf"), _parse_points),
+    "p": (dict(type=int, required=True, help="prime"), None),
+    "rho_exp": (dict(type=int, required=True, help="sphere radius exponent e: |x-xi|_p = p**e"), None),
+    "samples": (dict(type=int, default=2, help="sphere samples (default %(default)s)"), None),
+    "n": (dict(type=int, default=100, help="steps per orbit (default %(default)s)"), None),
+    "max_bits": (dict(type=int, default=DEFAULT_MAX_BITS,
+                      help="abort when an orbit entry outgrows this bit size (default %(default)s)"), None),
+    "kmax": (dict(type=int, default=24, help="search bound (default %(default)s)"), None),
+    "case": (dict(required=True, choices=tuple(_PRESETS)), None),
+    "t": (dict(required=True, help="rational parameter, t != +-1"), None),
+    "a": (dict(required=True, help="free coefficient a"), None),
+    "c": (dict(required=True, help="free coefficient c, nonzero"), None),
+    "sign": (dict(type=int, choices=(1, -1), default=1, help="trace branch"), None),
+}
+
+# command -> (handler, help, flags in --help order).  A flag is a key of
+# _FLAGS, or (key, keywords that replace some of _FLAGS's for this command).
+# main parses the flags in the order the handler takes them, which keeps the
+# first bad value each command reports: basin lists --xi before --place but
+# parses it last, where trace parses --xi before --place.
+_COMMANDS = {
+    "fixed-points": (_cmd_fixed_points, "solve f(x) = x exactly", ("map",)),
+    "classify": (_cmd_classify, "per-place verdicts for every rational fixed point",
+                 ("map", ("place", dict(required=False, help="restrict to one place: real or a prime")))),
+    "orbit": (_cmd_orbit, "iterate the map exactly", ("map", "x0", "n", "max_bits")),
+    "trace": (_cmd_trace, "per-step exact distances to a fixed point",
+              ("map", "x0", "xi", "place", "n", "max_bits")),
+    "sphere-check": (_cmd_sphere_check, "verify a sphere around a fixed point is invariant",
+                     ("map", "xi", "p", "rho_exp", "samples", "n", "max_bits")),
+    "basin": (_cmd_basin, "test grid points for convergence to an attractor",
+              ("map", "xi", "place", "grid", "n", "max_bits")),
+    "period": (_cmd_period, "smallest k with f**k = identity on the projective line", ("map", "kmax")),
+    "cross-ratio": (_cmd_cross_ratio, "Mobius-invariant of four distinct points", ("points",)),
+    "generate": (_cmd_generate, "build a map with rational fixed points from (t, sign, a, c)",
+                 ("t", "sign", "a", "c")),
+    "preset": (_cmd_preset, "one of the named families", (
+        "case",
+        ("a", dict(required=False, help="coefficient a (cases A, C, D)")),
+        ("c", dict(required=False, help="coefficient c (all but B)")),
+        ("t", dict(required=False, help="parameter t (case B)")),
+        ("sign", dict(help="branch (cases C2, D2)")),
+    )),
 }
 
 
@@ -221,92 +238,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact real and p-adic dynamics of maps (ax+b)/(cx+d) with ad-bc = 1, c != 0.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit one JSON document")
-        return p
-
-    def add_map(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--map", required=True, metavar="a,b,c,d", help="coefficients, det = 1")
-
-    def add_budget(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--max-bits",
-            type=int,
-            default=DEFAULT_MAX_BITS,
-            help="abort when an orbit entry outgrows this bit size (default %(default)s)",
-        )
-
-    p = add("fixed-points", "solve f(x) = x exactly")
-    add_map(p)
-
-    p = add("classify", "per-place verdicts for every rational fixed point")
-    add_map(p)
-    p.add_argument("--place", help="restrict to one place: real or a prime")
-
-    p = add("orbit", "iterate the map exactly")
-    add_map(p)
-    p.add_argument("--x0", required=True, help="initial point (rational or inf)")
-    p.add_argument("--n", type=int, default=100, help="steps (default %(default)s)")
-    add_budget(p)
-
-    p = add("trace", "per-step exact distances to a fixed point")
-    add_map(p)
-    p.add_argument("--x0", required=True, help="initial point (rational or inf)")
-    p.add_argument("--xi", required=True, help="fixed point")
-    p.add_argument("--place", required=True, help="real or a prime")
-    p.add_argument("--n", type=int, default=100, help="steps (default %(default)s)")
-    add_budget(p)
-
-    p = add("sphere-check", "verify a sphere around a fixed point is invariant")
-    add_map(p)
-    p.add_argument("--xi", required=True, help="fixed point")
-    p.add_argument("--p", type=int, required=True, help="prime")
-    p.add_argument("--rho-exp", type=int, required=True, help="sphere radius exponent e: |x-xi|_p = p**e")
-    p.add_argument("--samples", type=int, default=2, help="sphere samples (default %(default)s)")
-    p.add_argument("--n", type=int, default=100, help="steps per sample (default %(default)s)")
-    add_budget(p)
-
-    p = add("basin", "test grid points for convergence to an attractor")
-    add_map(p)
-    p.add_argument("--xi", required=True, help="attracting fixed point")
-    p.add_argument("--place", required=True, help="real or a prime")
-    p.add_argument("--grid", required=True, help="comma-separated initial points")
-    p.add_argument("--n", type=int, default=100, help="steps (default %(default)s)")
-    add_budget(p)
-
-    p = add("period", "smallest k with f**k = identity on the projective line")
-    add_map(p)
-    p.add_argument("--kmax", type=int, default=24, help="search bound (default %(default)s)")
-
-    p = add("cross-ratio", "Mobius-invariant of four distinct points")
-    p.add_argument("--points", required=True, metavar="p1,p2,p3,p4", help="points, at most one inf")
-
-    p = add("generate", "build a map with rational fixed points from (t, sign, a, c)")
-    p.add_argument("--t", required=True, help="rational parameter, t != +-1")
-    p.add_argument("--sign", type=int, choices=(1, -1), default=1, help="trace branch")
-    p.add_argument("--a", required=True, help="free coefficient a")
-    p.add_argument("--c", required=True, help="free coefficient c, nonzero")
-
-    p = add("preset", "one of the named families")
-    p.add_argument("--case", required=True, choices=tuple(_PRESETS))
-    p.add_argument("--a", help="coefficient a (cases A, C, D)")
-    p.add_argument("--c", help="coefficient c (all but B)")
-    p.add_argument("--t", help="parameter t (case B)")
-    p.add_argument("--sign", type=int, choices=(1, -1), default=1, help="branch (cases C2, D2)")
-
+        for flag in flags:
+            key, keywords = (flag, {}) if isinstance(flag, str) else flag
+            p.add_argument("--" + key.replace("_", "-"), **{**_FLAGS[key][0], **keywords})
     return parser
 
 
 def _scalar(value: object) -> str:
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return str(value)
+    return json.dumps(value) if value is None or isinstance(value, bool) else str(value)
 
 
 def _table_lines(value: object, indent: int) -> list[str]:
@@ -356,10 +298,10 @@ def main(argv: list[str] | None = None) -> int:
     argv = _attach_signed_values(sys.argv[1:] if argv is None else argv)
     first_positional = next((a for a in argv if not a.startswith("-")), None)
     asks_help = first_positional is None and any(a in ("-h", "--help") for a in argv)
-    if first_positional not in _HANDLERS and not asks_help:
+    if first_positional not in _COMMANDS and not asks_help:
         if first_positional is not None:
             print(f"unknown command: {first_positional!r}", file=sys.stderr)
-        print("usage: qmobius <command> [options]; commands: " + ", ".join(_HANDLERS), file=sys.stderr)
+        print("usage: qmobius <command> [options]; commands: " + ", ".join(_COMMANDS), file=sys.stderr)
         return 64
 
     parser = _build_parser()
@@ -368,19 +310,17 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
 
+    handler = _COMMANDS[args.command][0]
     try:
-        payload = _HANDLERS[args.command](args)
-    except (SizeBudgetError, FactorizationError) as exc:
+        values = {}
+        for dest in inspect.signature(handler).parameters:  # the parse order, see _COMMANDS
+            text, parse = getattr(args, dest), _FLAGS[dest][1]
+            values[dest] = text if text is None or parse is None else parse(text)
+        payload = handler(**values)
+    except (ValueError, SizeBudgetError, FactorizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(render_table(payload))
+        return 2 if isinstance(exc, ValueError) else 3
+    print(json.dumps(payload, indent=2) if args.json else render_table(payload))
     return 0
 
 

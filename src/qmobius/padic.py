@@ -81,7 +81,14 @@ class FactorizationError(RuntimeError):
     within its budget: Brent's rho spends _RHO_STEP_BUDGET steps on one
     composite without splitting it, or a probable prime past the proven
     Miller-Rabin bound has no Lucas n - 1 certificate (n - 1 cannot be
-    factored, or no witness is found for one of its primes)."""
+    factored, or no witness is found for one of its primes).
+
+    The one argument is the reason, naming the number left unfinished;
+    str() puts "factorization exceeded bound: " before it.
+    """
+
+    def __str__(self) -> str:
+        return f"factorization exceeded bound: {self.args[0]}"
 
 
 def _strong_probable_prime(n: int) -> bool:
@@ -120,18 +127,14 @@ def _lucas_certificate(n: int) -> bool:
     try:
         primes = factor_int(m)
     except FactorizationError as exc:
-        raise FactorizationError(
-            f"factorization exceeded bound: cannot prove {n} prime: {exc}"
-        ) from exc
+        raise FactorizationError(f"cannot prove {n} prime: {exc.args[0]}") from exc
     for q in primes:
         for a in _SMALL_PRIMES:
             x = pow(a, m // q, n)
             if x != 1:
                 break
         else:
-            raise FactorizationError(
-                f"factorization exceeded bound: no Lucas witness for {q} | {n} - 1"
-            )
+            raise FactorizationError(f"no Lucas witness for {q} | {n} - 1")
         if pow(x, q, n) != 1:
             return False
     return True
@@ -358,9 +361,7 @@ def _rho_split(n: int) -> int:
         while g == 1:
             steps += 2 * r
             if steps > _RHO_STEP_BUDGET:
-                raise FactorizationError(
-                    f"factorization exceeded bound: rho step budget spent on {n}"
-                )
+                raise FactorizationError(f"rho step budget spent on {n}")
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

@@ -123,7 +123,7 @@ def _cmd_sphere_check(
         "xi": str(xi),
         "p": p,
         "rho_exponent": rho_exp,
-        "samples": samples,
+        "samples": min(samples, p - 1),  # the samples actually tested
         "n": n,
         "invariant": ok,
     }

@@ -109,10 +109,6 @@ class Mat2:
             self.c * other.b + self.d * other.d,
         )
 
-    @property
-    def is_scalar(self) -> bool:
-        return self.b == 0 and self.c == 0 and self.a == self.d
-
     def apply(self, x: ProjectivePoint) -> ProjectivePoint:
         """Evaluate on the projective line; the pole -d/c maps to infinity
         and infinity maps to a/c (to itself when c = 0)."""
@@ -149,20 +145,6 @@ class MobiusMap(Mat2):
     def make(cls, a, b, c, d) -> "MobiusMap":
         """Build from anything Fraction accepts (ints, strings, Fractions)."""
         return cls(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
-
-    def compose(self, other: "MobiusMap") -> "MobiusMap":
-        """Matrix product: (self.compose(other))(x) == self(other(x)).
-
-        Raises if the product lands outside the c != 0 class, since every
-        formula downstream assumes a genuine pole.
-        """
-        m = self @ other
-        if m.c == 0:
-            raise ValueError("composition leaves the c != 0 class")
-        return MobiusMap(m.a, m.b, m.c, m.d)
-
-    def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.d, -self.b, -self.c, self.a)
 
     def power(self, n: int) -> Mat2:
         """F**n = u_n*F - u_(n-1)*I, from the trace t = a + d alone.
@@ -391,10 +373,9 @@ def cross_ratio(
     MobiusMap.
     """
     points = (p1, p2, p3, p4)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if points[i] == points[j]:
-                raise ValueError(f"cross-ratio requires distinct points: {points[i]!r} repeats")
+    for i, p in enumerate(points):
+        if p in points[i + 1:]:
+            raise ValueError(f"cross-ratio requires distinct points: {format_point(p)} repeats")
 
     def diff(p: ProjectivePoint, q: ProjectivePoint) -> Fraction | int:
         return 1 if isinstance(p, Infinity) else -1 if isinstance(q, Infinity) else p - q

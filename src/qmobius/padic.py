@@ -3,7 +3,7 @@
 Rationals are plain ``fractions.Fraction`` values (always in canonical,
 gcd-reduced form with positive denominator).  On top of that this module
 provides p-adic valuations, exact norms for the real place and every
-finite prime, canonical digit expansions, ultrametric ball geometry, and
+finite prime, canonical digit expansions, ultrametric spheres, and
 the valuation profile that certifies the adele/idele finiteness
 condition for a rational number.
 
@@ -24,14 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "PLUS_INFINITY",
     "FactorizationError",
     "NormValue",
     "PAdicDigits",
     "Place",
     "exact_sqrt",
     "factor_int",
-    "in_closed_ball",
     "is_prime",
     "norm",
     "on_sphere",
@@ -40,10 +38,6 @@ __all__ = [
     "principal_profile",
     "vp",
 ]
-
-# Valuation of zero.  math.inf compares exactly against any int, so the
-# ultrametric min/max algebra below needs no special-casing.
-PLUS_INFINITY = math.inf
 
 # Deterministic Miller-Rabin with the 13 prime bases up to 41 proves n
 # prime for every n below psi_13 = 3317044064679887385961981, the least
@@ -228,10 +222,12 @@ def _vp_int(n: int, p: int) -> int:
 
 
 def vp(x: Fraction | int, p: int) -> int | float:
-    """p-adic valuation of x: the exponent of p in x, PLUS_INFINITY for 0.
+    """p-adic valuation of x: the exponent of p in x, math.inf for 0.
 
-    p is assumed prime (Place construction is the validating entry point);
-    p < 2 raises ValueError: stripping powers of 1 or -1 never ends.
+    math.inf compares exactly against any int, so min/max over valuations
+    needs no special case for 0.  p is assumed prime (Place construction
+    is the validating entry point); p < 2 raises ValueError: stripping
+    powers of 1 or -1 never ends.
 
     >>> vp(Fraction(4), 2)
     2
@@ -241,7 +237,7 @@ def vp(x: Fraction | int, p: int) -> int | float:
     if p < 2:
         raise ValueError(f"valuation needs a prime p >= 2: got {p}")
     if x == 0:
-        return PLUS_INFINITY
+        return math.inf
     return _vp_int(x.numerator, p) - _vp_int(x.denominator, p)
 
 
@@ -318,7 +314,7 @@ def padic_expand(x: Fraction | int, p: int, count: int) -> PAdicDigits:
     Extracts the valuation, then reduces the unit part modulo p**count
     via the modular inverse of its denominator and reads off base-p
     digits.  Zero has no canonical expansion (its valuation is
-    PLUS_INFINITY); it is rejected.
+    math.inf); it is rejected.
     """
     if count < 1:
         raise ValueError(f"digit count must be positive: {count}")
@@ -333,11 +329,6 @@ def padic_expand(x: Fraction | int, p: int, count: int) -> PAdicDigits:
         residue, digit = divmod(residue, p)
         digits.append(digit)
     return PAdicDigits(valuation=v, digits=tuple(digits), prime=p, length=count)
-
-
-def in_closed_ball(x: Fraction, center: Fraction, radius_exponent: int, p: int) -> bool:
-    """True iff |x - center|_p <= p**radius_exponent."""
-    return vp(x - center, p) >= -radius_exponent
 
 
 def on_sphere(x: Fraction, center: Fraction, radius_exponent: int, p: int) -> bool:

@@ -385,6 +385,24 @@ def test_cross_ratio_command(capsys):
     assert "4 comma-separated points" in err
 
 
+@pytest.mark.parametrize("points, shown", [
+    ("0,1,2,0", "0"), ("1/2,inf,1/2,3", "1/2"), ("inf,1,inf,0", "inf"),
+])
+def test_cross_ratio_repeat_names_the_point_as_written(capsys, points, shown):
+    code, out, err = run_cli(capsys, ["cross-ratio", "--points", points])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cross-ratio requires distinct points: {shown} repeats\n"
+
+
+def test_sphere_check_reports_the_samples_it_tests(capsys):
+    """At p = 2 the sphere has one unit class, so one of five samples is tested."""
+    code, out, _ = run_cli(capsys, ["sphere-check", "--map", "2,-1,1,0", "--xi", "1", "--p", "2",
+                                    "--rho-exp=-1", "--samples", "5", "--n", "5", "--json"])
+    assert code == 0
+    assert json.loads(out)["samples"] == 1
+
+
 def test_basin_command(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -20,6 +20,30 @@ def test_all_is_the_union_of_the_module_lists():
     assert sorted(qmobius.__all__) == sorted(name for m in MODULES for name in m.__all__)
 
 
+# The public surface, written out so that adding or removing an export is a
+# visible edit here.
+PUBLIC_NAMES = [
+    "AdelicReport", "BasinPoint", "BasinSample", "DEFAULT_MAX_BITS",
+    "DEFAULT_REAL_THRESHOLD", "DEFAULT_VALUATION_GAIN", "DistanceTrace",
+    "FactorizationError", "FamilyParameter", "FixedPointResult", "INFINITY",
+    "Infinity", "IrrationalPair", "Mat2", "MobiusMap", "NormValue",
+    "OrbitRecord", "PAdicDigits", "Place", "PlaceReport", "ProjectivePoint",
+    "RationalDouble", "RationalPair", "SiegelRadius", "SizeBudgetError",
+    "Verdict", "adelic_report", "basin_sample", "case_A", "case_B", "case_C",
+    "case_C_sub", "case_D", "case_D_sub", "check_adelic_image", "classify_at",
+    "closed_iterate", "cross_ratio", "detect_period", "distance_trace",
+    "exact_sqrt", "exceptional_primes", "factor_int", "format_point",
+    "from_parameter", "in_named_family", "invariant_sphere_check", "is_prime",
+    "norm", "on_sphere", "padic_expand", "pair_relations", "parse_map",
+    "parse_point", "parse_rational", "principal_profile", "run_orbit",
+    "siegel_radius", "vp",
+]
+
+
+def test_public_surface_is_pinned():
+    assert sorted(qmobius.__all__) == PUBLIC_NAMES
+
+
 def test_every_exported_name_resolves():
     for m in MODULES:
         for name in m.__all__:
@@ -76,6 +100,7 @@ def test_readme_python_example_prints_what_it_says():
     printed = [ast.literal_eval(out) for out in done.stdout.splitlines() if out.startswith("{")]
     assert len(shown) == 2
     assert printed == shown
+    assert "2 3/2 4/3 5/4" in done.stdout.splitlines()
 
 
 def test_readme_commands_exit_zero(capsys):

@@ -43,14 +43,7 @@ from .mobius import (
     parse_map,
     parse_point,
 )
-from .orbit import (
-    DEFAULT_MAX_BITS,
-    SizeBudgetError,
-    basin_sample,
-    distance_trace,
-    invariant_sphere_check,
-    run_orbit,
-)
+from .orbit import SizeBudgetError, basin_sample, distance_trace, invariant_sphere_check, run_orbit
 from .padic import FactorizationError, Place, parse_rational
 
 __all__ = ["main", "run"]
@@ -103,21 +96,17 @@ def _cmd_classify(map: MobiusMap, place: Place | None) -> dict:
     return {"map": str(map), "place": str(place), "reports": reports}
 
 
-def _cmd_orbit(map: MobiusMap, x0: ProjectivePoint, n: int, max_bits: int) -> dict:
-    return {"map": str(map), **run_orbit(map, x0, n, max_bits=max_bits).to_json_dict()}
+def _cmd_orbit(map: MobiusMap, x0: ProjectivePoint, n: int) -> dict:
+    return {"map": str(map), **run_orbit(map, x0, n).to_json_dict()}
 
 
-def _cmd_trace(
-    map: MobiusMap, x0: ProjectivePoint, xi: Fraction, place: Place, n: int, max_bits: int
-) -> dict:
-    trace = distance_trace(map, x0, xi, place, n, max_bits=max_bits)
+def _cmd_trace(map: MobiusMap, x0: ProjectivePoint, xi: Fraction, place: Place, n: int) -> dict:
+    trace = distance_trace(map, x0, xi, place, n)
     return {"map": str(map), "x0": format_point(x0), **trace.to_json_dict()}
 
 
-def _cmd_sphere_check(
-    map: MobiusMap, xi: Fraction, p: int, rho_exp: int, samples: int, n: int, max_bits: int
-) -> dict:
-    ok, witness = invariant_sphere_check(map, xi, p, rho_exp, samples=samples, n=n, max_bits=max_bits)
+def _cmd_sphere_check(map: MobiusMap, xi: Fraction, p: int, rho_exp: int, samples: int, n: int) -> dict:
+    ok, witness = invariant_sphere_check(map, xi, p, rho_exp, samples=samples, n=n)
     payload = {
         "map": str(map),
         "xi": str(xi),
@@ -135,10 +124,8 @@ def _cmd_sphere_check(
     return payload
 
 
-def _cmd_basin(
-    map: MobiusMap, place: Place, grid: list[Fraction], xi: Fraction, n: int, max_bits: int
-) -> dict:
-    sample = basin_sample(map, xi, place, grid, n=n, max_bits=max_bits)
+def _cmd_basin(map: MobiusMap, place: Place, grid: list[Fraction], xi: Fraction, n: int) -> dict:
+    sample = basin_sample(map, xi, place, grid, n=n)
     return {"map": str(map), "n": n, **sample.to_json_dict()}
 
 
@@ -192,8 +179,6 @@ _FLAGS = {
     "rho_exp": (dict(type=int, required=True, help="sphere radius exponent e: |x-xi|_p = p**e"), None),
     "samples": (dict(type=int, default=2, help="sphere samples (default %(default)s)"), None),
     "n": (dict(type=int, default=100, help="steps per orbit (default %(default)s)"), None),
-    "max_bits": (dict(type=int, default=DEFAULT_MAX_BITS,
-                      help="abort when an orbit entry outgrows this bit size (default %(default)s)"), None),
     "kmax": (dict(type=int, default=24, help="search bound (default %(default)s)"), None),
     "case": (dict(required=True, choices=tuple(_PRESETS)), None),
     "t": (dict(required=True, help="rational parameter, t != +-1"), None),
@@ -211,13 +196,13 @@ _COMMANDS = {
     "fixed-points": (_cmd_fixed_points, "solve f(x) = x exactly", ("map",)),
     "classify": (_cmd_classify, "per-place verdicts for every rational fixed point",
                  ("map", ("place", dict(required=False, help="restrict to one place: real or a prime")))),
-    "orbit": (_cmd_orbit, "iterate the map exactly", ("map", "x0", "n", "max_bits")),
+    "orbit": (_cmd_orbit, "iterate the map exactly", ("map", "x0", "n")),
     "trace": (_cmd_trace, "per-step exact distances to a fixed point",
-              ("map", "x0", "xi", "place", "n", "max_bits")),
+              ("map", "x0", "xi", "place", "n")),
     "sphere-check": (_cmd_sphere_check, "verify a sphere around a fixed point is invariant",
-                     ("map", "xi", "p", "rho_exp", "samples", "n", "max_bits")),
+                     ("map", "xi", "p", "rho_exp", "samples", "n")),
     "basin": (_cmd_basin, "test grid points for convergence to an attractor",
-              ("map", "xi", "place", "grid", "n", "max_bits")),
+              ("map", "xi", "place", "grid", "n")),
     "period": (_cmd_period, "smallest k with f**k = identity on the projective line", ("map", "kmax")),
     "cross-ratio": (_cmd_cross_ratio, "Mobius-invariant of four distinct points", ("points",)),
     "generate": (_cmd_generate, "build a map with rational fixed points from (t, sign, a, c)",
@@ -295,6 +280,11 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Python's 4300-digit int/str limit would reject valid input and output far
+    # below the orbit bit budget; the OS already caps each argument's length.
+    # Python 3.10.0-3.10.6 has neither the limit nor its setter.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     argv = _attach_signed_values(sys.argv[1:] if argv is None else argv)
     first_positional = next((a for a in argv if not a.startswith("-")), None)
     asks_help = first_positional is None and any(a in ("-h", "--help") for a in argv)

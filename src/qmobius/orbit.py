@@ -7,8 +7,8 @@ invariant-sphere test around indifferent points and basin-of-attraction
 sampling all reduce to exact norm computations along these orbits.
 
 Exact entries of matrix powers can grow without bound for hyperbolic
-maps, so every orbit runs under a bit-size budget and fails loudly with
-SizeBudgetError instead of hanging.
+maps, so every orbit runs under the fixed bit-size budget DEFAULT_MAX_BITS
+and fails loudly with SizeBudgetError instead of hanging.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ DEFAULT_REAL_THRESHOLD = Fraction(1, 10**6)
 
 
 class SizeBudgetError(RuntimeError):
-    """An exact orbit entry outgrew the configured bit budget."""
+    """An exact orbit entry outgrew the bit budget DEFAULT_MAX_BITS."""
 
 
 def _bit_size(x: Fraction) -> int:
@@ -127,13 +127,11 @@ class BasinSample:
         }
 
 
-def run_orbit(
-    f: MobiusMap,
-    x0: ProjectivePoint,
-    n: int,
-    max_bits: int = DEFAULT_MAX_BITS,
-) -> OrbitRecord:
+def run_orbit(f: MobiusMap, x0: ProjectivePoint, n: int) -> OrbitRecord:
     """Iterate f exactly n times from x0, keeping every point.
+
+    Raises SizeBudgetError at the first entry of more than
+    DEFAULT_MAX_BITS bits (numerator plus denominator).
 
     >>> from .mobius import case_C
     >>> [format_point(x) for x in run_orbit(case_C(Fraction(2), Fraction(1)), Fraction(2), 3).points]
@@ -141,17 +139,15 @@ def run_orbit(
     """
     if n < 1:
         raise ValueError(f"orbit length must be >= 1: got {n}")
-    if max_bits < 1:
-        raise ValueError(f"bit budget must be >= 1: got {max_bits}")
     points = [x0]
     x = x0
     for k in range(1, n + 1):
         x = f.apply(x)
         if isinstance(x, Fraction):
             bits = _bit_size(x)
-            if bits > max_bits:
+            if bits > DEFAULT_MAX_BITS:
                 raise SizeBudgetError(
-                    f"orbit exceeded size budget: step {k} needs {bits} bits (max {max_bits})"
+                    f"orbit exceeded size budget: step {k} needs {bits} bits (max {DEFAULT_MAX_BITS})"
                 )
         points.append(x)
     return OrbitRecord(initial=x0, points=tuple(points), length=n)
@@ -163,11 +159,10 @@ def distance_trace(
     xi: Fraction,
     place: Place,
     n: int,
-    max_bits: int = DEFAULT_MAX_BITS,
 ) -> DistanceTrace:
     """Exact |x_k - xi|_v for k = 0..n; xi must be a fixed point of f."""
     f.require_fixed(xi)
-    orbit = run_orbit(f, x0, n, max_bits=max_bits)
+    orbit = run_orbit(f, x0, n)
     values = tuple(
         None if isinstance(x, Infinity) else norm(x - xi, place) for x in orbit.points
     )
@@ -181,7 +176,6 @@ def invariant_sphere_check(
     rho_exponent: int,
     samples: int = 2,
     n: int = 200,
-    max_bits: int = DEFAULT_MAX_BITS,
 ) -> tuple[bool, tuple[Fraction, int] | None]:
     """Test that the sphere |x - xi|_p = p**rho_exponent is f-invariant.
 
@@ -203,7 +197,7 @@ def invariant_sphere_check(
     step = Fraction(p) ** (-rho_exponent)
     for s in range(1, min(samples, p - 1) + 1):
         x0 = xi + s * step
-        for k, x in enumerate(run_orbit(f, x0, n, max_bits=max_bits).points):
+        for k, x in enumerate(run_orbit(f, x0, n).points):
             if isinstance(x, Infinity) or not on_sphere(x, xi, rho_exponent, p):
                 return False, (x0, k)
     return True, None
@@ -215,7 +209,6 @@ def basin_sample(
     place: Place,
     grid: list[Fraction],
     n: int = 100,
-    max_bits: int = DEFAULT_MAX_BITS,
 ) -> BasinSample:
     """Convergence verdict for each grid point toward the attractor xi.
 
@@ -235,7 +228,7 @@ def basin_sample(
         raise ValueError("basin undefined for non-attracting point")
     tested = []
     for x0 in grid:
-        points = run_orbit(f, x0, n, max_bits=max_bits).points
+        points = run_orbit(f, x0, n).points
         if x0 == xi:  # f is a bijection fixing xi, so no other orbit reaches it
             tested.append(BasinPoint(x0, True, 0, False))
             continue

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from qmobius.cli import _COMMANDS, _build_parser, main, render_table
+from qmobius.mobius import parse_map, parse_point
+from qmobius.orbit import run_orbit
 from qmobius.padic import parse_rational
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -131,18 +133,41 @@ def test_exit_code_bad_rational(capsys):
 
 
 def test_exit_code_size_budget(capsys):
-    code, _, err = run_cli(
-        capsys,
-        ["orbit", "--map", "2,0,1,1/2", "--x0", "7", "--n", "100", "--max-bits", "50"],
-    )
+    A = 2**3000  # 904 digits; numerator and denominator each gain about 6000 bits a step
+    code, _, err = run_cli(capsys, ["orbit", "--map", f"{A},0,1,1/{A}", "--x0", "1", "--n", "100"])
     assert code == 3
-    assert "size budget" in err
+    assert err == "error: orbit exceeded size budget: step 84 needs 1005002 bits (max 1000000)\n"
 
 
-# A prime past the proven Miller-Rabin bound whose n - 1 = 30*p*q, with p
-# and q primes of 25 and 26 digits, is out of reach of the rho budget: no
-# Lucas certificate, so no verdict.
-UNPROVABLE_PRIME = 30 * 1000000000000000000000007 * 10000000000000000000000013 + 1
+# The product of two primes of 25 and 26 digits: no factor below 1000, and
+# factors that rho cannot separate within its step budget.
+UNSPLITTABLE = 1000000000000000000000007 * 10000000000000000000000013
+
+
+def test_exit_code_rho_budget(capsys):
+    # c*xi + d = UNSPLITTABLE at xi = 0
+    n = UNSPLITTABLE
+    code, _, err = run_cli(capsys, ["classify", "--map", f"1/{n},0,1,{n}"])
+    assert code == 3
+    assert err == f"error: factorization exceeded bound: rho step budget spent on {n}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--map", "1000001,0,1,1/1000001", "--x0", "1", "--n", "400"],  # 4,800-digit entries
+    ["orbit", "--map", "2,-1,1,0", "--x0", "7" * 4400, "--n", "1"],  # a 4,400-digit input
+], ids=["long-output", "long-input"])
+def test_numbers_past_python_digit_limit(capsys, argv):
+    """Python limits int/str conversion to 4300 digits by default; the CLI
+    lifts that limit, since the orbit bit budget already bounds every entry."""
+    code, out, _ = run_cli(capsys, argv + ["--json"])
+    assert code == 0
+    f, x0, n = parse_map(argv[2]), parse_point(argv[4]), int(argv[6])
+    assert parse_point(json.loads(out)["points"][-1]) == run_orbit(f, x0, n).points[-1]
+
+
+# A prime past the proven Miller-Rabin bound whose n - 1 = 30 * UNSPLITTABLE
+# is out of reach of the rho budget: no Lucas certificate, so no verdict.
+UNPROVABLE_PRIME = 30 * UNSPLITTABLE + 1
 
 
 def test_exit_code_unprovable_prime_cofactor(capsys):
@@ -209,23 +234,23 @@ SURFACE = {
     "fixed-points": (["--map", M], {"map": M}, [], {}),
     "classify": (["--map", M], {"map": M, "place": None}, ["--place", "2"], {"place": "2"}),
     "orbit": (
-        ["--map", M, "--x0", "1"], {"map": M, "x0": "1", "n": 100, "max_bits": 10**6},
-        ["--n", "5", "--max-bits", "64"], {"n": 5, "max_bits": 64},
+        ["--map", M, "--x0", "1"], {"map": M, "x0": "1", "n": 100},
+        ["--n", "5"], {"n": 5},
     ),
     "trace": (
         ["--map", M, "--x0", "1", "--xi", "0", "--place", "2"],
-        {"map": M, "x0": "1", "xi": "0", "place": "2", "n": 100, "max_bits": 10**6},
-        ["--n", "5", "--max-bits", "64"], {"n": 5, "max_bits": 64},
+        {"map": M, "x0": "1", "xi": "0", "place": "2", "n": 100},
+        ["--n", "5"], {"n": 5},
     ),
     "sphere-check": (
         ["--map", M, "--xi", "0", "--p", "3", "--rho-exp", "0"],
-        {"map": M, "xi": "0", "p": 3, "rho_exp": 0, "samples": 2, "n": 100, "max_bits": 10**6},
-        ["--samples", "3", "--n", "5", "--max-bits", "64"], {"samples": 3, "n": 5, "max_bits": 64},
+        {"map": M, "xi": "0", "p": 3, "rho_exp": 0, "samples": 2, "n": 100},
+        ["--samples", "3", "--n", "5"], {"samples": 3, "n": 5},
     ),
     "basin": (
         ["--map", M, "--xi", "0", "--place", "2", "--grid", "1,3"],
-        {"map": M, "xi": "0", "place": "2", "grid": "1,3", "n": 100, "max_bits": 10**6},
-        ["--n", "5", "--max-bits", "64"], {"n": 5, "max_bits": 64},
+        {"map": M, "xi": "0", "place": "2", "grid": "1,3", "n": 100},
+        ["--n", "5"], {"n": 5},
     ),
     "period": (["--map", M], {"map": M, "kmax": 24}, ["--kmax", "5"], {"kmax": 5}),
     "cross-ratio": (["--points", "0,1,2,3"], {"points": "0,1,2,3"}, [], {}),
@@ -264,6 +289,13 @@ def test_cli_surface(capsys, command):
     }
     for i in range(0, len(required), 2):
         assert run_cli(capsys, [command, *required[:i], *required[i + 2:]])[0] == 2
+
+
+@pytest.mark.parametrize("command", ["orbit", "trace", "sphere-check", "basin"])
+def test_orbit_bit_budget_is_not_an_option(capsys, command):
+    code, _, err = run_cli(capsys, [command, *SURFACE[command][0], "--max-bits", "64"])
+    assert code == 2
+    assert "unrecognized arguments: --max-bits 64" in err
 
 
 @pytest.mark.parametrize("argv", [

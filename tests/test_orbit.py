@@ -62,8 +62,10 @@ def test_run_orbit_rejects_bad_length():
 
 
 def test_run_orbit_size_budget():
-    with pytest.raises(SizeBudgetError, match="size budget"):
-        run_orbit(std_map(), F(7), 100, max_bits=50)
+    # f(x) = A**2 x/(A x + 1): numerator and denominator each gain about 6000 bits a step
+    A = 2**3000
+    with pytest.raises(SizeBudgetError, match=r"step 84 needs 1005002 bits \(max 1000000\)"):
+        run_orbit(MobiusMap.make(A, 0, 1, F(1, A)), F(1), 100)
 
 
 @given(parameters, small_rationals, st.integers(min_value=1, max_value=25))

@@ -2,7 +2,10 @@
 
 Orbits are sequences of exact projective points; a pole step lands on
 the point at infinity and the next step continues at a/c, so nothing is
-ever approximated or dropped.  Per-place distance traces, the
+ever approximated or dropped.  Mat2.apply acts on one point; run_orbit
+steps in integer homogeneous coordinates instead, a coprime pair (p : q)
+under an integer multiple of the map's matrix, reduced each step by one
+gcd against a number of fixed size.  Per-place distance traces, the
 invariant-sphere test around indifferent points and basin-of-attraction
 sampling all reduce to exact norm computations along these orbits.
 
@@ -15,9 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .classify import Verdict, classify_at
-from .mobius import Infinity, MobiusMap, ProjectivePoint, format_point
+from .mobius import INFINITY, Infinity, MobiusMap, ProjectivePoint, format_point
 from .padic import NormValue, Place, norm, on_sphere, vp
 
 __all__ = [
@@ -42,10 +46,6 @@ DEFAULT_REAL_THRESHOLD = Fraction(1, 10**6)
 
 class SizeBudgetError(RuntimeError):
     """An exact orbit entry outgrew the bit budget DEFAULT_MAX_BITS."""
-
-
-def _bit_size(x: Fraction) -> int:
-    return x.numerator.bit_length() + x.denominator.bit_length()
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,18 @@ class BasinSample:
 def run_orbit(f: MobiusMap, x0: ProjectivePoint, n: int) -> OrbitRecord:
     """Iterate f exactly n times from x0, keeping every point.
 
+    Each step runs in integer homogeneous coordinates: the point is a
+    coprime pair (p : q), infinity is (1 : 0), and the integer matrix
+    M = L*F, with L the lcm of the four denominators, sends it to
+    (p' : q') = (A*p + B*q : C*p + D*q).  One small gcd reduces the pair.
+    Proof: det M = L**2 * det F = L**2, and adj(M)*(p', q') =
+    L**2 * (p, q), so every common divisor of p' and q' divides
+    L**2 * gcd(p, q) = L**2.  Hence g = gcd(gcd(L**2, p'), q') is the full
+    gcd, taken against a number of fixed size: linear time in the size of
+    the pair, not quadratic.  q' = 0 is the pole step to infinity, and
+    infinity steps to (A : C) = a/c.  Fraction(p, q) makes the
+    denominator positive.
+
     Raises SizeBudgetError at the first entry of more than
     DEFAULT_MAX_BITS bits (numerator plus denominator).
 
@@ -139,17 +151,24 @@ def run_orbit(f: MobiusMap, x0: ProjectivePoint, n: int) -> OrbitRecord:
     """
     if n < 1:
         raise ValueError(f"orbit length must be >= 1: got {n}")
+    scale = lcm(f.a.denominator, f.b.denominator, f.c.denominator, f.d.denominator)
+    A, B, C, D = (int(e * scale) for e in (f.a, f.b, f.c, f.d))
+    det = scale * scale
+    p, q = (1, 0) if isinstance(x0, Infinity) else (x0.numerator, x0.denominator)
     points = [x0]
-    x = x0
     for k in range(1, n + 1):
-        x = f.apply(x)
-        if isinstance(x, Fraction):
-            bits = _bit_size(x)
-            if bits > DEFAULT_MAX_BITS:
-                raise SizeBudgetError(
-                    f"orbit exceeded size budget: step {k} needs {bits} bits (max {DEFAULT_MAX_BITS})"
-                )
-        points.append(x)
+        p, q = A * p + B * q, C * p + D * q
+        g = gcd(gcd(det, p), q)
+        p, q = p // g, q // g
+        if q == 0:
+            points.append(INFINITY)
+            continue
+        bits = p.bit_length() + q.bit_length()
+        if bits > DEFAULT_MAX_BITS:
+            raise SizeBudgetError(
+                f"orbit exceeded size budget: step {k} needs {bits} bits (max {DEFAULT_MAX_BITS})"
+            )
+        points.append(Fraction(p, q))
     return OrbitRecord(initial=x0, points=tuple(points), length=n)
 
 
@@ -228,10 +247,10 @@ def basin_sample(
         raise ValueError("basin undefined for non-attracting point")
     tested = []
     for x0 in grid:
-        points = run_orbit(f, x0, n).points
         if x0 == xi:  # f is a bijection fixing xi, so no other orbit reaches it
             tested.append(BasinPoint(x0, True, 0, False))
             continue
+        points = run_orbit(f, x0, n).points
         poles = [k for k, x in enumerate(points) if isinstance(x, Infinity)]
         start = poles[-1] + 1 if poles else 0
         tail = points[start:]

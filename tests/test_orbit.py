@@ -6,7 +6,15 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from qmobius.classify import Verdict, classify_at
-from qmobius.mobius import FamilyParameter, Infinity, MobiusMap, RationalPair, case_C, from_parameter
+from qmobius.mobius import (
+    INFINITY,
+    FamilyParameter,
+    Infinity,
+    MobiusMap,
+    RationalPair,
+    case_C,
+    from_parameter,
+)
 from qmobius.orbit import (
     DEFAULT_REAL_THRESHOLD,
     DEFAULT_VALUATION_GAIN,
@@ -56,6 +64,20 @@ def test_run_orbit_through_pole():
     assert record.points[2] == f.a / f.c  # infinity maps to a/c
 
 
+def test_run_orbit_reduces_the_homogeneous_pair():
+    # 2*F = (4, 0; 2, 1) sends (1 : 2) to (4 : 4), which the step divides by g = 4
+    record = run_orbit(MobiusMap.make(2, 0, 1, F(1, 2)), F(1, 2), 2)
+    assert record.points == (F(1, 2), F(1), F(4, 3))
+
+
+def test_run_orbit_reduction_keeps_a_fixed_point_small():
+    # A*F = (A**2, 0; A, 1) sends the fixed point (A**2 - 1 : A) to A**2
+    # times itself, so an unreduced pair would pass the bit budget by step 84
+    A = 2**3000
+    xi = F(A * A - 1, A)
+    assert set(run_orbit(MobiusMap.make(A, 0, 1, F(1, A)), xi, 200).points) == {xi}
+
+
 def test_run_orbit_rejects_bad_length():
     with pytest.raises(ValueError, match=">= 1"):
         run_orbit(std_map(), F(1), 0)
@@ -73,6 +95,36 @@ def test_orbit_agrees_with_matrix_power(fp, x0, n):
     f = from_parameter(fp)
     record = run_orbit(f, x0, n)
     assert record.points[n] == f.power(n).apply(x0)
+
+
+def fraction_step(f, x):
+    """One step of x -> (ax+b)/(cx+d) in Fraction arithmetic: pole -> inf -> a/c."""
+    if isinstance(x, Infinity):
+        return f.a / f.c
+    den = f.c * x + f.d
+    return INFINITY if den == 0 else (f.a * x + f.b) / den
+
+
+@given(parameters, st.data(), st.integers(min_value=1, max_value=40))
+def test_run_orbit_matches_fraction_steps(fp, data, n):
+    f = from_parameter(fp)
+    special = st.sampled_from((-f.d / f.c, INFINITY, f.a / f.c))
+    x0 = data.draw(st.one_of(small_rationals, special), label="x0")
+    expected = [x0]
+    for _ in range(n):
+        expected.append(fraction_step(f, expected[-1]))
+    assert run_orbit(f, x0, n).points == tuple(expected)
+
+
+@pytest.mark.parametrize(
+    "coeffs, order", [((0, -1, 1, 0), 2), ((1, -1, 1, 0), 3), ((-1, -1, 1, 0), 3)]
+)
+@given(x0=st.one_of(small_rationals, st.just(INFINITY)))
+def test_run_orbit_returns_with_the_map_order(coeffs, order, x0):
+    # trace 0 or +-1 leaves both fixed points irrational, so every rational
+    # x0 and infinity has exact period `order`
+    points = run_orbit(MobiusMap.make(*coeffs), x0, 12).points
+    assert [k for k, x in enumerate(points) if x == x0] == list(range(0, 13, order))
 
 
 def test_distance_trace_attractor_valuations():

@@ -2,12 +2,15 @@
 
 Orbits are sequences of exact projective points; a pole step lands on
 the point at infinity and the next step continues at a/c, so nothing is
-ever approximated or dropped.  Mat2.apply acts on one point; run_orbit
+ever approximated or dropped.  Mat2.apply acts on one point; an orbit
 steps in integer homogeneous coordinates instead, a coprime pair (p : q)
 under an integer multiple of the map's matrix, reduced each step by one
 gcd against a number of fixed size.  Per-place distance traces, the
 invariant-sphere test around indifferent points and basin-of-attraction
-sampling all reduce to exact norm computations along these orbits.
+sampling read |x_k - xi|_v off that pair: with xi = r/s,
+x_k - xi = (p*s - r*q)/(q*s), so vp(x_k - xi) = vp(p*s - r*q) - vp(q*s)
+at a prime and |x_k - xi| = |p*s - r*q|/|q*s| at the real place, and no
+point is built as a Fraction.
 
 Exact entries of matrix powers can grow without bound for hyperbolic
 maps, so every orbit runs under the fixed bit-size budget DEFAULT_MAX_BITS
@@ -16,13 +19,14 @@ and fails loudly with SizeBudgetError instead of hanging.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .classify import Verdict, classify_at
 from .mobius import INFINITY, Infinity, MobiusMap, ProjectivePoint, format_point
-from .padic import NormValue, Place, norm, on_sphere, vp
+from .padic import NormValue, Place, vp
 
 __all__ = [
     "BasinPoint",
@@ -127,49 +131,73 @@ class BasinSample:
         }
 
 
+def _integer_matrix(f: MobiusMap) -> tuple[int, int, int, int, int]:
+    """(A, B, C, D, L**2): M = L*F and det M, L the lcm of F's denominators."""
+    scale = lcm(f.a.denominator, f.b.denominator, f.c.denominator, f.d.denominator)
+    A, B, C, D = (e.numerator * (scale // e.denominator) for e in (f.a, f.b, f.c, f.d))
+    return A, B, C, D, scale * scale
+
+
+def _pairs(
+    matrix: tuple[int, int, int, int, int], x0: ProjectivePoint, n: int
+) -> Iterator[tuple[int, int]]:
+    """Yield the reduced pair (p, q) of x_k for k = 0..n; q = 0 is infinity.
+
+    The point x_k is p/q, with q of either sign.  M = (A, B; C, D) sends
+    (p : q) to (p' : q') = (A*p + B*q : C*p + D*q).  One small gcd reduces
+    the pair.  Proof: det M = L**2 * det F = L**2, and adj(M)*(p', q') =
+    L**2 * (p, q), so every common divisor of p' and q' divides
+    L**2 * gcd(p, q) = L**2.  Hence g = gcd(L**2, p', q') is the full
+    gcd, taken against a number of fixed size: linear time in the size of
+    the pair, not quadratic.  q' = 0 is the pole step to infinity: then
+    p' divides L**2, so g = |p'| and the pair is (+-1 : 0), of 1 bit.
+    Infinity steps to (A : C) = a/c.
+
+    Raises ValueError for n < 1, and SizeBudgetError at the first entry
+    of more than DEFAULT_MAX_BITS bits (numerator plus denominator).
+    """
+    if n < 1:
+        raise ValueError(f"orbit length must be >= 1: got {n}")
+    A, B, C, D, det = matrix
+    p, q = (1, 0) if isinstance(x0, Infinity) else (x0.numerator, x0.denominator)
+    yield p, q
+    for k in range(1, n + 1):
+        p, q = A * p + B * q, C * p + D * q
+        g = gcd(det, p, q)
+        p, q = p // g, q // g
+        bits = p.bit_length() + q.bit_length()
+        if bits > DEFAULT_MAX_BITS:
+            raise SizeBudgetError(
+                f"orbit exceeded size budget: step {k} needs {bits} bits (max {DEFAULT_MAX_BITS})"
+            )
+        yield p, q
+
+
 def run_orbit(f: MobiusMap, x0: ProjectivePoint, n: int) -> OrbitRecord:
     """Iterate f exactly n times from x0, keeping every point.
 
-    Each step runs in integer homogeneous coordinates: the point is a
-    coprime pair (p : q), infinity is (1 : 0), and the integer matrix
-    M = L*F, with L the lcm of the four denominators, sends it to
-    (p' : q') = (A*p + B*q : C*p + D*q).  One small gcd reduces the pair.
-    Proof: det M = L**2 * det F = L**2, and adj(M)*(p', q') =
-    L**2 * (p, q), so every common divisor of p' and q' divides
-    L**2 * gcd(p, q) = L**2.  Hence g = gcd(gcd(L**2, p'), q') is the full
-    gcd, taken against a number of fixed size: linear time in the size of
-    the pair, not quadratic.  q' = 0 is the pole step to infinity, and
-    infinity steps to (A : C) = a/c.  Fraction(p, q) makes the
-    denominator positive.
-
-    Raises SizeBudgetError at the first entry of more than
+    The steps are those of _pairs, in integer homogeneous coordinates
+    with one gcd against L**2 each; Fraction(p, q) makes the denominator
+    positive.  Raises SizeBudgetError at the first entry of more than
     DEFAULT_MAX_BITS bits (numerator plus denominator).
 
     >>> from .mobius import case_C
     >>> [format_point(x) for x in run_orbit(case_C(Fraction(2), Fraction(1)), Fraction(2), 3).points]
     ['2', '3/2', '4/3', '5/4']
     """
-    if n < 1:
-        raise ValueError(f"orbit length must be >= 1: got {n}")
-    scale = lcm(f.a.denominator, f.b.denominator, f.c.denominator, f.d.denominator)
-    A, B, C, D = (int(e * scale) for e in (f.a, f.b, f.c, f.d))
-    det = scale * scale
-    p, q = (1, 0) if isinstance(x0, Infinity) else (x0.numerator, x0.denominator)
-    points = [x0]
-    for k in range(1, n + 1):
-        p, q = A * p + B * q, C * p + D * q
-        g = gcd(gcd(det, p), q)
-        p, q = p // g, q // g
-        if q == 0:
-            points.append(INFINITY)
-            continue
-        bits = p.bit_length() + q.bit_length()
-        if bits > DEFAULT_MAX_BITS:
-            raise SizeBudgetError(
-                f"orbit exceeded size budget: step {k} needs {bits} bits (max {DEFAULT_MAX_BITS})"
-            )
-        points.append(Fraction(p, q))
-    return OrbitRecord(initial=x0, points=tuple(points), length=n)
+    pairs = _pairs(_integer_matrix(f), x0, n)
+    next(pairs)  # x_0 is kept as given
+    points = [Fraction(p, q) if q else INFINITY for p, q in pairs]
+    return OrbitRecord(initial=x0, points=(x0, *points), length=n)
+
+
+def _distance(num: int, den: int, place: Place) -> NormValue:
+    """|num/den|_v for integers num and den != 0, with no Fraction built at a prime."""
+    if place.prime is None:
+        return NormValue(value=Fraction(abs(num), abs(den)))
+    if num == 0:
+        return NormValue(value=Fraction(0), prime=place.prime)
+    return NormValue.p_power(place.prime, vp(den, place.prime) - vp(num, place.prime))
 
 
 def distance_trace(
@@ -181,9 +209,10 @@ def distance_trace(
 ) -> DistanceTrace:
     """Exact |x_k - xi|_v for k = 0..n; xi must be a fixed point of f."""
     f.require_fixed(xi)
-    orbit = run_orbit(f, x0, n)
+    r, s = xi.numerator, xi.denominator
     values = tuple(
-        None if isinstance(x, Infinity) else norm(x - xi, place) for x in orbit.points
+        _distance(p * s - r * q, q * s, place) if q else None
+        for p, q in _pairs(_integer_matrix(f), x0, n)
     )
     return DistanceTrace(place=place, center=xi, values=values)
 
@@ -198,12 +227,15 @@ def invariant_sphere_check(
 ) -> tuple[bool, tuple[Fraction, int] | None]:
     """Test that the sphere |x - xi|_p = p**rho_exponent is f-invariant.
 
-    Initial points xi + s*p**(-rho_exponent) for units s = 1, ...,
-    min(samples, p-1) lie on the sphere by construction; each orbit is
-    followed for n steps and every iterate tested with ``on_sphere``.
-    Returns (True, None) when all stay put, otherwise (False, (x0, k))
-    for the first departing sample and step.  Meant for indifferent
-    fixed points, though not every sphere around a repeller is left: by
+    Initial points xi + u*p**(-rho_exponent) for units u = 1, ...,
+    min(samples, p-1) lie on the sphere by construction.  Each orbit is
+    followed for n steps, all of them computed before any is tested, so
+    the bit budget covers every step.  With xi = r/s, an iterate
+    x_k = y/z leaves the sphere when z = 0 (infinity) or
+    vp(x_k - xi) = vp(y*s - r*z) - vp(z*s) != -rho_exponent.  Returns
+    (True, None) when all stay put, otherwise (False, (x0, k)) for the
+    first departing sample and step.  Meant for indifferent fixed
+    points, though not every sphere around a repeller is left: by
     f(x) - xi = (x - xi)/((c*xi + d)(cx + d)), when vp(c*xi + d) > 0
     every step stays on the sphere of exponent vp(c) + vp(c*xi + d).
     For 2,0,1,1/2 at p = 2 the repeller xi = 3/2 keeps its sphere of
@@ -214,10 +246,12 @@ def invariant_sphere_check(
     if samples < 1:
         raise ValueError(f"need at least one sample: got {samples}")
     step = Fraction(p) ** (-rho_exponent)
-    for s in range(1, min(samples, p - 1) + 1):
-        x0 = xi + s * step
-        for k, x in enumerate(run_orbit(f, x0, n).points):
-            if isinstance(x, Infinity) or not on_sphere(x, xi, rho_exponent, p):
+    matrix, r, s = _integer_matrix(f), xi.numerator, xi.denominator
+    for u in range(1, min(samples, p - 1) + 1):
+        # xi + u*step, with one normalising gcd
+        x0 = Fraction(r * step.denominator + u * step.numerator * s, s * step.denominator)
+        for k, (y, z) in enumerate(list(_pairs(matrix, x0, n))):
+            if z == 0 or vp(y * s - r * z, p) - vp(z * s, p) != -rho_exponent:
                 return False, (x0, k)
     return True, None
 
@@ -234,33 +268,36 @@ def basin_sample(
     The grid point xi itself converges at step 0.  An orbit that passes
     through the pole is marked and judged on its segment after the last
     pole passage; one that ends at infinity has no segment and does not
-    converge.  The distance of x_k from xi is measured as |x_k - xi|
-    at the real place and as the exponent -vp(x_k - xi) of |x_k - xi|_p
-    at a finite one, and the orbit converges when the distance falls
-    strictly over the final quarter of the segment and its last point
-    meets the bound: |x_k - xi| < DEFAULT_REAL_THRESHOLD at the real
-    place, a drop of at least DEFAULT_VALUATION_GAIN below the first
-    exponent at a finite place.  steps_observed is where the bound is
-    first met (else the last step), counted from x_0.
+    converge.  The distance of x_k = p/q from xi = r/s is read off
+    x_k - xi = (p*s - r*q)/(q*s): it is |x_k - xi| at the real place
+    and the exponent -vp(x_k - xi) of |x_k - xi|_p at a finite one.
+    The orbit converges when the distance falls strictly over the final
+    quarter of the segment and its last point meets the bound:
+    |x_k - xi| < DEFAULT_REAL_THRESHOLD at the real place, a drop of at
+    least DEFAULT_VALUATION_GAIN below the first exponent at a finite
+    place.  steps_observed is where the bound is first met (else the
+    last step), counted from x_0.
     """
     if classify_at(f, xi, place).verdict is not Verdict.ATTRACTOR:
         raise ValueError("basin undefined for non-attracting point")
+    matrix, r, s = _integer_matrix(f), xi.numerator, xi.denominator
     tested = []
     for x0 in grid:
         if x0 == xi:  # f is a bijection fixing xi, so no other orbit reaches it
             tested.append(BasinPoint(x0, True, 0, False))
             continue
-        points = run_orbit(f, x0, n).points
-        poles = [k for k, x in enumerate(points) if isinstance(x, Infinity)]
+        diffs = [(p * s - r * q, q * s) for p, q in _pairs(matrix, x0, n)]
+        poles = [k for k, (_, den) in enumerate(diffs) if den == 0]
         start = poles[-1] + 1 if poles else 0
-        tail = points[start:]
+        tail = diffs[start:]
         if not tail:  # the orbit ends at infinity
             tested.append(BasinPoint(x0, False, n, True))
             continue
         if place.prime is None:
-            dist, bound = [abs(x - xi) for x in tail], DEFAULT_REAL_THRESHOLD
+            dist = [Fraction(abs(num), abs(den)) for num, den in tail]
+            bound = DEFAULT_REAL_THRESHOLD
         else:  # integer exponents: d < bound is a drop of at least the gain
-            dist = [-vp(x - xi, place.prime) for x in tail]
+            dist = [vp(den, place.prime) - vp(num, place.prime) for num, den in tail]
             bound = dist[0] - DEFAULT_VALUATION_GAIN + 1
         last = len(tail) - 1
         falling = all(dist[k + 1] < dist[k] for k in range(3 * last // 4, last))

@@ -238,6 +238,8 @@ def vp(x: Fraction | int, p: int) -> int | float:
         raise ValueError(f"valuation needs a prime p >= 2: got {p}")
     if x == 0:
         return math.inf
+    if isinstance(x, int):
+        return _vp_int(x, p)
     return _vp_int(x.numerator, p) - _vp_int(x.denominator, p)
 
 
@@ -256,7 +258,8 @@ class NormValue:
 
     @classmethod
     def p_power(cls, p: int, exponent: int) -> "NormValue":
-        return cls(value=Fraction(p) ** exponent, prime=p, exponent=exponent)
+        value = Fraction(p**exponent) if exponent >= 0 else Fraction(1, p**-exponent)
+        return cls(value=value, prime=p, exponent=exponent)
 
     @property
     def is_zero(self) -> bool:

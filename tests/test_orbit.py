@@ -11,9 +11,14 @@ from qmobius.mobius import (
     FamilyParameter,
     Infinity,
     MobiusMap,
+    RationalDouble,
     RationalPair,
     case_C,
+    case_C_sub,
+    case_D,
+    case_D_sub,
     from_parameter,
+    parse_map,
 )
 from qmobius.orbit import (
     DEFAULT_REAL_THRESHOLD,
@@ -25,7 +30,7 @@ from qmobius.orbit import (
     invariant_sphere_check,
     run_orbit,
 )
-from qmobius.padic import Place, norm
+from qmobius.padic import Place, norm, on_sphere
 
 F = Fraction
 
@@ -83,11 +88,33 @@ def test_run_orbit_rejects_bad_length():
         run_orbit(std_map(), F(1), 0)
 
 
-def test_run_orbit_size_budget():
+def budget_map():
     # f(x) = A**2 x/(A x + 1): numerator and denominator each gain about 6000 bits a step
     A = 2**3000
+    return MobiusMap.make(A, 0, 1, F(1, A))
+
+
+def test_run_orbit_size_budget():
     with pytest.raises(SizeBudgetError, match=r"step 84 needs 1005002 bits \(max 1000000\)"):
-        run_orbit(MobiusMap.make(A, 0, 1, F(1, A)), F(1), 100)
+        run_orbit(budget_map(), F(1), 100)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: distance_trace(f, F(1), F(0), Place.finite(2), 100),
+        lambda f: distance_trace(f, F(1), F(0), Place.real(), 100),
+        lambda f: basin_sample(f, F(0), Place.finite(2), [F(1)], n=100),
+        # x0 = 0 + 1*2**0 = 1 leaves the sphere at step 1, but the whole
+        # orbit is computed before it is tested
+        lambda f: invariant_sphere_check(f, F(0), 2, 0, samples=1, n=100),
+    ],
+    ids=["trace-2", "trace-real", "basin-2", "sphere-2"],
+)
+def test_orbit_readers_keep_the_size_budget(call):
+    # the orbit of test_run_orbit_size_budget; xi = 0 attracts at 2, since f'(0) = A**2
+    with pytest.raises(SizeBudgetError, match=r"step 84 needs 1005002 bits \(max 1000000\)"):
+        call(budget_map())
 
 
 @given(parameters, small_rationals, st.integers(min_value=1, max_value=25))
@@ -143,6 +170,12 @@ def test_distance_trace_constant_indifferent():
 def test_distance_trace_real_parabolic():
     trace = distance_trace(case_C(F(2), F(1)), F(2), F(1), Place.real(), 5)
     assert [v.value for v in trace.values] == [F(1, k) for k in range(1, 7)]
+
+
+def test_distance_trace_real_place_with_negative_denominator():
+    # 2*F = (4, 0; 2, 1) sends (-3 : 1) to (-12 : -5), so x_1 - 3/2 = -9/-10
+    trace = distance_trace(parse_map("2,0,1,1/2"), F(-3), F(3, 2), Place.real(), 3)
+    assert trace.values[1].value == F(9, 10)
 
 
 def test_distance_trace_marks_infinity():
@@ -318,3 +351,52 @@ def test_basin_sample_matches_window_judges(fp, prime, j, extra, n):
     sample = basin_sample(f, xi, place, grid, n=n)
     assert (sample.place, sample.attractor) == (place, xi)
     assert sample.tested == _reference_basin(f, xi, place, grid, n)
+
+
+# The readings that distance_trace, invariant_sphere_check and
+# basin_sample made from Fraction points before they read the integer
+# pair, kept as references (basin_sample's is _reference_basin above).
+def _fraction_trace(f, x0, xi, place, n):
+    points = run_orbit(f, x0, n).points
+    return tuple(None if isinstance(x, Infinity) else norm(x - xi, place) for x in points)
+
+
+def _fraction_sphere(f, xi, p, rho_exponent, samples, n):
+    for u in range(1, min(samples, p - 1) + 1):
+        x0 = xi + u * F(p) ** -rho_exponent
+        for k, x in enumerate(run_orbit(f, x0, n).points):
+            if isinstance(x, Infinity) or not on_sphere(x, xi, rho_exponent, p):
+                return False, (x0, k)
+    return True, None
+
+
+nonzero_rationals = small_rationals.filter(lambda x: x != 0)
+signs = st.sampled_from((1, -1))
+fused_maps = st.one_of(
+    st.builds(case_C, small_rationals, nonzero_rationals),
+    st.builds(case_C_sub, nonzero_rationals, signs),
+    st.builds(case_D, small_rationals, nonzero_rationals),
+    st.builds(case_D_sub, nonzero_rationals, signs),
+)
+PLACES = (Place.finite(2), Place.finite(3), Place.finite(5), Place.real())
+
+
+@given(st.one_of(st.builds(from_parameter, parameters), fused_maps), st.data(), st.integers(1, 40))
+def test_pair_reading_matches_fraction_reading(f, data, n):
+    fixed = f.fixed_points()
+    fixed = [fixed.point] if isinstance(fixed, RationalDouble) else [fixed.point1, fixed.point2]
+    xi = data.draw(st.sampled_from(fixed), label="xi")
+    special = [-f.d / f.c, INFINITY, *fixed]
+    x0 = data.draw(st.one_of(small_rationals, st.sampled_from(special)), label="x0")
+    for place in PLACES:
+        assert distance_trace(f, x0, xi, place, n).values == _fraction_trace(f, x0, xi, place, n)
+    p = data.draw(st.sampled_from((2, 3, 5)), label="p")
+    rho_exponent = data.draw(st.integers(-3, 3), label="rho_exponent")
+    samples = data.draw(st.integers(1, 4), label="samples")
+    assert invariant_sphere_check(f, xi, p, rho_exponent, samples, n) == _fraction_sphere(
+        f, xi, p, rho_exponent, samples, n
+    )
+    grid = [x for x in (x0, *special) if not isinstance(x, Infinity)]
+    for place in PLACES:
+        if classify_at(f, xi, place).verdict is Verdict.ATTRACTOR:
+            assert basin_sample(f, xi, place, grid, n).tested == _reference_basin(f, xi, place, grid, n)

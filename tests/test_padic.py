@@ -71,6 +71,11 @@ def test_vp_values():
         assert vp(n, 3) == vp(Fraction(n), 3)
 
 
+@given(st.integers(-(10**30), 10**30), st.integers(0, 60), st.sampled_from(PRIMES))
+def test_vp_of_an_int_matches_its_fraction(n, k, p):
+    assert vp(n * p**k, p) == vp(Fraction(n * p**k), p)
+
+
 @given(nonzero_rationals, nonzero_rationals, st.sampled_from(PRIMES))
 def test_vp_is_multiplicative(x, y, p):
     assert vp(x * y, p) == vp(x, p) + vp(y, p)
@@ -103,6 +108,12 @@ def test_norm_cmp_one():
     assert norm(Fraction(3), Place.finite(2)).cmp_one() == 0
     assert norm(Fraction(1, 2), Place.real()).cmp_one() == -1
     assert NormValue.p_power(3, 0).cmp_one() == 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 97])
+def test_p_power_matches_fraction_power(p):
+    for e in range(-40, 41):
+        assert NormValue.p_power(p, e) == NormValue(Fraction(p) ** e, p, e)
 
 
 @given(nonzero_rationals)

@@ -16,7 +16,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .mobius import Infinity, IrrationalPair, MobiusMap, RationalDouble
-from .padic import NormValue, Place, factor_int, norm, principal_profile, vp
+from .padic import NormValue, Place, _proven_place, factor_int, norm, principal_profile, vp
 
 __all__ = [
     "AdelicReport",
@@ -144,7 +144,8 @@ def _place_reports(valuations: dict[Place, int]) -> tuple[PlaceReport, ...]:
 
 
 def _finite_places(profile: dict[int, int]) -> dict[Place, int]:
-    return {Place.finite(p): v for p, v in profile.items()}
+    """{place: v} for a profile from principal_profile, whose primes factor_int has proven."""
+    return {_proven_place(p): v for p, v in profile.items()}
 
 
 def _rational_fixed_points(f: MobiusMap) -> tuple[Fraction, ...]:

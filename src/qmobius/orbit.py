@@ -138,6 +138,11 @@ def _integer_matrix(f: MobiusMap) -> tuple[int, int, int, int, int]:
     return A, B, C, D, scale * scale
 
 
+def _require_length(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"orbit length must be >= 1: got {n}")
+
+
 def _pairs(
     matrix: tuple[int, int, int, int, int], x0: ProjectivePoint, n: int
 ) -> Iterator[tuple[int, int]]:
@@ -156,8 +161,7 @@ def _pairs(
     Raises ValueError for n < 1, and SizeBudgetError at the first entry
     of more than DEFAULT_MAX_BITS bits (numerator plus denominator).
     """
-    if n < 1:
-        raise ValueError(f"orbit length must be >= 1: got {n}")
+    _require_length(n)
     A, B, C, D, det = matrix
     p, q = (1, 0) if isinstance(x0, Infinity) else (x0.numerator, x0.denominator)
     yield p, q
@@ -191,15 +195,6 @@ def run_orbit(f: MobiusMap, x0: ProjectivePoint, n: int) -> OrbitRecord:
     return OrbitRecord(initial=x0, points=(x0, *points), length=n)
 
 
-def _distance(num: int, den: int, place: Place) -> NormValue:
-    """|num/den|_v for integers num and den != 0, with no Fraction built at a prime."""
-    if place.prime is None:
-        return NormValue(value=Fraction(abs(num), abs(den)))
-    if num == 0:
-        return NormValue(value=Fraction(0), prime=place.prime)
-    return NormValue.p_power(place.prime, vp(den, place.prime) - vp(num, place.prime))
-
-
 def distance_trace(
     f: MobiusMap,
     x0: ProjectivePoint,
@@ -207,14 +202,37 @@ def distance_trace(
     place: Place,
     n: int,
 ) -> DistanceTrace:
-    """Exact |x_k - xi|_v for k = 0..n; xi must be a fixed point of f."""
+    """Exact |x_k - xi|_v for k = 0..n; xi must be a fixed point of f.
+
+    With xi = r/s and x_k = p/q, an entry is |p*s - r*q|/|q*s| at the
+    real place and p**(vp(q*s) - vp(p*s - r*q)) at a prime, where one
+    (frozen) NormValue is built per distinct exponent and shared by the
+    steps that have it; on a fused map the exponent takes few values.
+    The steps at xi share one zero norm; an entry at infinity is None.
+    """
     f.require_fixed(xi)
     r, s = xi.numerator, xi.denominator
-    values = tuple(
-        _distance(p * s - r * q, q * s, place) if q else None
-        for p, q in _pairs(_integer_matrix(f), x0, n)
-    )
-    return DistanceTrace(place=place, center=xi, values=values)
+    pairs = _pairs(_integer_matrix(f), x0, n)
+    prime = place.prime
+    if prime is None:
+        distances = tuple(
+            NormValue(value=Fraction(abs(p * s - r * q), abs(q * s))) if q else None for p, q in pairs
+        )
+        return DistanceTrace(place=place, center=xi, values=distances)
+    zero = NormValue(value=Fraction(0), prime=prime)
+    norms: dict[int, NormValue] = {}
+    values: list[NormValue | None] = []
+    for p, q in pairs:
+        if not q:
+            values.append(None)
+        elif (num := p * s - r * q) == 0:
+            values.append(zero)
+        else:
+            e = vp(q * s, prime) - vp(num, prime)
+            if e not in norms:
+                norms[e] = NormValue.p_power(prime, e)
+            values.append(norms[e])
+    return DistanceTrace(place=place, center=xi, values=tuple(values))
 
 
 def invariant_sphere_check(
@@ -276,10 +294,12 @@ def basin_sample(
     |x_k - xi| < DEFAULT_REAL_THRESHOLD at the real place, a drop of at
     least DEFAULT_VALUATION_GAIN below the first exponent at a finite
     place.  steps_observed is where the bound is first met (else the
-    last step), counted from x_0.
+    last step), counted from x_0.  n < 1 raises ValueError whatever the
+    grid holds, even when no grid point runs an orbit.
     """
     if classify_at(f, xi, place).verdict is not Verdict.ATTRACTOR:
         raise ValueError("basin undefined for non-attracting point")
+    _require_length(n)
     matrix, r, s = _integer_matrix(f), xi.numerator, xi.denominator
     tested = []
     for x0 in grid:

@@ -178,6 +178,14 @@ class Place:
         return "real" if self.prime is None else str(self.prime)
 
 
+def _proven_place(p: int) -> Place:
+    """The finite place of p, which the caller has already proven prime
+    (factor_int's primes), built without a second is_prime."""
+    place = object.__new__(Place)
+    object.__setattr__(place, "prime", p)
+    return place
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "n", "-n" or "n/d" into a canonical Fraction.
 

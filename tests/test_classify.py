@@ -228,6 +228,25 @@ def test_adelic_report_factors_a_large_prime_once(monkeypatch):
         assert [r.place.prime for r in report.exceptional] == [3, p]
 
 
+def test_adelic_report_proves_each_prime_once(monkeypatch):
+    """factor_int proves p (3 falls to trial division); the report's places
+    are built from those primes without another is_prime."""
+    p = 9_999_999_967
+    f = from_parameter(FamilyParameter(F(p - 3, p + 3), 1, F(2), F(3)))
+    seen = []
+    is_prime = padic.is_prime
+
+    def recording(n):
+        seen.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(padic, "is_prime", recording)
+    reports = adelic_report(f)
+    assert seen == [p]
+    for report in reports:
+        assert [r.place for r in report.exceptional] == [Place.finite(3), Place.finite(p)]
+
+
 @pytest.mark.parametrize(
     "f",
     [

@@ -455,6 +455,19 @@ def test_basin_rejects_non_attractor(capsys):
     assert "basin undefined" in err
 
 
+@pytest.mark.parametrize("grid", ["0", "1"])
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_basin_rejects_bad_length(capsys, grid, n):
+    """The grid point 0 is the attractor and runs no orbit, yet --n is still checked."""
+    code, out, err = run_cli(
+        capsys,
+        ["basin", "--map", "2,0,1,1/2", "--xi", "0", "--place", "2", "--grid", grid, f"--n={n}"],
+    )
+    assert code == 2
+    assert out == ""
+    assert f"orbit length must be >= 1: got {n}" in err
+
+
 def test_generate_command(capsys):
     code, out, _ = run_cli(
         capsys, ["generate", "--t", "1/2", "--a", "2", "--c", "1", "--json"]

@@ -184,6 +184,45 @@ def test_distance_trace_marks_infinity():
     assert trace.values[1] is None
 
 
+def assert_one_norm_per_exponent(trace, f, x0, xi, n):
+    """Each entry is norm(x_k - xi) of run_orbit's point, or None at infinity,
+    and the entries share one NormValue object per distinct exponent."""
+    points = run_orbit(f, x0, n).points
+    assert trace.values == tuple(
+        None if isinstance(x, Infinity) else norm(x - xi, trace.place) for x in points
+    )
+    norms = [v for v in trace.values if v is not None]
+    assert len({id(v) for v in norms}) == len({v.exponent for v in norms})
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("f", [case_C(F(2), F(1)), case_D(F(1, 2), F(7))], ids=["case_C", "case_D"])
+def test_distance_trace_shares_one_norm_per_exponent(f, p):
+    """On a fused map 1/(x_n - xi) moves by a constant step, so its valuation
+    takes few values over 1000 steps: a handful of objects, not 1001."""
+    xi = f.fixed_points().point
+    trace = distance_trace(f, xi + 1, xi, Place.finite(p), 1000)
+    assert_one_norm_per_exponent(trace, f, xi + 1, xi, 1000)
+    assert 1 < len({v.exponent for v in trace.values}) < 20
+
+
+def test_distance_trace_from_the_center_shares_one_zero():
+    f = case_C(F(2), F(1))
+    trace = distance_trace(f, F(1), F(1), Place.finite(3), 1000)
+    assert_one_norm_per_exponent(trace, f, F(1), F(1), 1000)
+    assert all(v.is_zero for v in trace.values)
+    assert trace.to_json_dict()["valuations"] == ["inf"] * 1001
+
+
+def test_distance_trace_through_the_pole_at_a_prime():
+    # 1/(x_n - 1) = n - 3 from x0 = 2/3, so x_3 is infinity and x_4 = 2
+    f = case_C(F(2), F(1))
+    trace = distance_trace(f, F(2, 3), F(1), Place.finite(3), 20)
+    assert [k for k, v in enumerate(trace.values) if v is None] == [3]
+    assert_one_norm_per_exponent(trace, f, F(2, 3), F(1), 20)
+    assert trace.to_json_dict()["valuations"][:5] == [-1, 0, 0, None, 0]
+
+
 def test_distance_trace_rejects_non_fixed_center():
     with pytest.raises(ValueError, match="not a fixed point"):
         distance_trace(std_map(), F(1), F(1), Place.real(), 3)
@@ -236,6 +275,14 @@ def test_basin_sample_grid_containing_attractor():
     sample = basin_sample(std_map(), F(0), Place.finite(2), [F(0)], n=10)
     assert sample.tested[0].converged
     assert sample.tested[0].steps_observed == 0
+
+
+@pytest.mark.parametrize("grid", [[F(0)], []], ids=["attractor-only", "empty"])
+@pytest.mark.parametrize("n", [0, -5])
+def test_basin_sample_rejects_bad_length_without_orbits(grid, n):
+    """No grid point here runs an orbit, yet n is still checked."""
+    with pytest.raises(ValueError, match=f"orbit length must be >= 1: got {n}"):
+        basin_sample(std_map(), F(0), Place.finite(2), grid, n=n)
 
 
 def test_basin_sample_rejects_non_attractor():

@@ -6,7 +6,10 @@ or equal to 1.  Since f'(xi) = 1/(c*xi+d)**2, the finite places with a
 non-indifferent verdict are exactly the primes dividing the numerator
 or denominator of c*xi + d, so the full adelic picture is one real
 verdict plus a finite exceptional list obtained by factoring a single
-rational.  No scan over primes ever happens.
+rational.  No scan over primes ever happens.  Every verdict is read off
+the integer pair (P, Q) with c*xi + d = P/Q that mobius._fixed_pair
+returns along with its fixed-point test: |f'(xi)|_v = |Q/P|_v**2, so no
+derivative is formed as a Fraction.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 
-from .mobius import Infinity, IrrationalPair, MobiusMap, RationalDouble
-from .padic import NormValue, Place, _proven_place, factor_int, norm, principal_profile, vp
+from .mobius import Infinity, IrrationalPair, MobiusMap, RationalDouble, _fixed_pair, _integer_matrix
+from .padic import NormValue, Place, _proven_place, factor_int, principal_profile, vp
 
 __all__ = [
     "AdelicReport",
@@ -132,8 +136,20 @@ def classify_at(f: MobiusMap, xi: Fraction, place: Place) -> PlaceReport:
     >>> classify_at(f, Fraction(0), Place.finite(2)).verdict.value
     'attractor'
     """
-    f.require_fixed(xi)
-    derivative_norm = norm(f.derivative_at(xi), place)
+    return _report(place, *_fixed_pair(f, xi))
+
+
+def _report(place: Place, P: int, Q: int) -> PlaceReport:
+    """The report at place for a fixed point with c*xi + d = P/Q (P, Q != 0).
+
+    f'(xi) = 1/(c*xi + d)**2 = (Q/P)**2, so its norm is Q**2/P**2 at the
+    real place and p**(2*(vp(P) - vp(Q))) at a prime p.
+    """
+    prime = place.prime
+    if prime is None:
+        derivative_norm = NormValue(value=Fraction(Q * Q, P * P))
+    else:
+        derivative_norm = NormValue.p_power(prime, 2 * (vp(P, prime) - vp(Q, prime)))
     return PlaceReport(place, derivative_norm, _verdict_of(derivative_norm))
 
 
@@ -164,8 +180,8 @@ def exceptional_primes(f: MobiusMap, xi: Fraction) -> list[PlaceReport]:
     complete list.  A fixed point is never the pole, hence c*xi + d is
     never zero here.
     """
-    f.require_fixed(xi)
-    return list(_place_reports(_finite_places(principal_profile(f.c * xi + f.d))))
+    P, Q = _fixed_pair(f, xi)
+    return list(_place_reports(_finite_places(principal_profile(Fraction(P, Q)))))
 
 
 def adelic_report(f: MobiusMap) -> tuple[AdelicReport, ...]:
@@ -176,14 +192,18 @@ def adelic_report(f: MobiusMap) -> tuple[AdelicReport, ...]:
     c*d*(xi1 + xi2) + d**2 = -bc + d(a-d) + d**2 = ad - bc = 1: the
     partner's profile is the first one negated, the same primes with
     opposite verdicts, at places built (and proven prime) once for both.
-    Irrational fixed points are out of scope and raise.
+    For a pair, c*xi1 + d = P/Q thus makes c*xi2 + d = Q/P, so both real
+    reports come from one integer pair.  Irrational fixed points are out of
+    scope and raise.
     """
     points = _rational_fixed_points(f)
-    valuations = _finite_places(principal_profile(f.c * points[0] + f.d))
+    P, Q = _fixed_pair(f, points[0])
+    valuations = _finite_places(principal_profile(Fraction(P, Q)))
     partner = {place: -v for place, v in valuations.items()}
+    real = Place.real()
     return tuple(
-        AdelicReport(xi, classify_at(f, xi, Place.real()), _place_reports(xi_valuations))
-        for xi, xi_valuations in zip(points, (valuations, partner))
+        AdelicReport(xi, _report(real, *pair), _place_reports(xi_valuations))
+        for xi, pair, xi_valuations in zip(points, ((P, Q), (Q, P)), (valuations, partner))
     )
 
 
@@ -216,13 +236,19 @@ def check_adelic_image(f: MobiusMap, x: Fraction) -> list[int]:
     under f exactly because this list is finite.  In lowest terms
     vp(f(x)) < 0 iff p divides the denominator, so only it is factored:
     the numerator's primes never enter the answer (f(x) = 0 has none).
+    With x = r/s and (A, B, C, D) = L*F, f(x) = (A*r + B*s)/(C*r + D*s),
+    and gcd(L**2, A*r + B*s, C*r + D*s) is the full gcd of the two (see
+    orbit._pairs), so the denominator is |C*r + D*s| over it; x is the
+    pole exactly when C*r + D*s = 0.
 
     >>> from .mobius import MobiusMap
     >>> f = MobiusMap.make(2, 0, 1, Fraction(1, 2))
     >>> check_adelic_image(f, Fraction(1))
     [3]
     """
-    image = f.apply(x)
-    if isinstance(image, Infinity):
+    A, B, C, D, L = _integer_matrix(f)
+    r, s = (1, 0) if isinstance(x, Infinity) else (x.numerator, x.denominator)
+    den = C * r + D * s
+    if den == 0:
         raise ValueError(f"image of the pole x = {x} is the point at infinity")
-    return sorted(factor_int(image.denominator))
+    return sorted(factor_int(abs(den) // gcd(L * L, A * r + B * s, den)))

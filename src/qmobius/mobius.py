@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .padic import exact_sqrt, parse_rational
 
@@ -195,13 +196,49 @@ class MobiusMap(Mat2):
             (self.a - self.d - root) / (2 * self.c),
         )
 
-    def require_fixed(self, x: Fraction) -> None:
-        """Raise ValueError unless f(x) == x."""
-        if self.apply(x) != x:
-            raise ValueError(f"not a fixed point: f({x}) != {x}")
+    def require_fixed(self, x: ProjectivePoint) -> None:
+        """Raise ValueError unless f(x) == x, by the test of _fixed_pair."""
+        _fixed_pair(self, x)
 
     def __str__(self) -> str:
         return ",".join(str(t) for t in (self.a, self.b, self.c, self.d))
+
+
+def _integer_matrix(f: MobiusMap) -> tuple[int, int, int, int, int]:
+    """(A, B, C, D, L): the integer matrix M = L*F, L the lcm of F's denominators.
+
+    det M = L**2 * det F = L**2.
+    """
+    a, b, c, d = f.a, f.b, f.c, f.d
+    da, db, dc, dd = a.denominator, b.denominator, c.denominator, d.denominator
+    scale = lcm(da, db, dc, dd)
+    return (
+        a.numerator * (scale // da),
+        b.numerator * (scale // db),
+        c.numerator * (scale // dc),
+        d.numerator * (scale // dd),
+        scale,
+    )
+
+
+def _fixed_pair(f: MobiusMap, x: ProjectivePoint) -> tuple[int, int]:
+    """(P, Q) with c*x + d = P/Q for a fixed point x of f; else ValueError.
+
+    With x = r/s and (A, B, C, D) = L*F, f(x) = x says
+    (A*r + B*s)/(C*r + D*s) = r/s with P = C*r + D*s != 0, that is
+    C*r**2 + (D - A)*r*s - B*s**2 = r*P - s*(A*r + B*s) = 0.  The
+    quadratic alone decides: were it 0 with P = 0, then A*r + B*s = 0 as
+    s != 0, and M = L*F (det M = L**2) would send (r, s) != 0 to 0.  So
+    the pole is never a root, and infinity (which goes to a/c) is not
+    fixed either.  Then c*x + d = (C*r + D*s)/(L*s), so Q = L*s; P/Q
+    need not be in lowest terms.  No Fraction is built.
+    """
+    if not isinstance(x, Infinity):
+        A, B, C, D, L = _integer_matrix(f)
+        r, s = x.numerator, x.denominator
+        if C * r * r + (D - A) * r * s - B * s * s == 0:
+            return C * r + D * s, L * s
+    raise ValueError(f"not a fixed point: f({x}) != {x}")
 
 
 def parse_map(text: str) -> MobiusMap:

@@ -22,10 +22,10 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .classify import Verdict, classify_at
-from .mobius import INFINITY, Infinity, MobiusMap, ProjectivePoint, format_point
+from .mobius import INFINITY, Infinity, MobiusMap, ProjectivePoint, _integer_matrix, format_point
 from .padic import NormValue, Place, vp
 
 __all__ = [
@@ -131,13 +131,6 @@ class BasinSample:
         }
 
 
-def _integer_matrix(f: MobiusMap) -> tuple[int, int, int, int, int]:
-    """(A, B, C, D, L**2): M = L*F and det M, L the lcm of F's denominators."""
-    scale = lcm(f.a.denominator, f.b.denominator, f.c.denominator, f.d.denominator)
-    A, B, C, D = (e.numerator * (scale // e.denominator) for e in (f.a, f.b, f.c, f.d))
-    return A, B, C, D, scale * scale
-
-
 def _require_length(n: int) -> None:
     if n < 1:
         raise ValueError(f"orbit length must be >= 1: got {n}")
@@ -148,7 +141,8 @@ def _pairs(
 ) -> Iterator[tuple[int, int]]:
     """Yield the reduced pair (p, q) of x_k for k = 0..n; q = 0 is infinity.
 
-    The point x_k is p/q, with q of either sign.  M = (A, B; C, D) sends
+    The point x_k is p/q, with q of either sign.  M = (A, B; C, D) = L*F,
+    from the matrix (A, B, C, D, L) of mobius._integer_matrix, sends
     (p : q) to (p' : q') = (A*p + B*q : C*p + D*q).  One small gcd reduces
     the pair.  Proof: det M = L**2 * det F = L**2, and adj(M)*(p', q') =
     L**2 * (p, q), so every common divisor of p' and q' divides
@@ -162,7 +156,8 @@ def _pairs(
     of more than DEFAULT_MAX_BITS bits (numerator plus denominator).
     """
     _require_length(n)
-    A, B, C, D, det = matrix
+    A, B, C, D, L = matrix
+    det = L * L
     p, q = (1, 0) if isinstance(x0, Infinity) else (x0.numerator, x0.denominator)
     yield p, q
     for k in range(1, n + 1):

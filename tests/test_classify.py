@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 from qmobius import padic
 from qmobius.classify import (
     AdelicReport,
+    PlaceReport,
     Verdict,
     adelic_report,
     check_adelic_image,
@@ -18,6 +19,7 @@ from qmobius.classify import (
     siegel_radius,
 )
 from qmobius.mobius import (
+    INFINITY,
     FamilyParameter,
     MobiusMap,
     RationalPair,
@@ -29,7 +31,7 @@ from qmobius.mobius import (
     case_D_sub,
     from_parameter,
 )
-from qmobius.padic import Place, principal_profile, vp
+from qmobius.padic import Place, norm, principal_profile, vp
 
 F = Fraction
 
@@ -70,6 +72,23 @@ def test_classify_at_case_C_indifferent_everywhere_sampled():
 def test_classify_at_rejects_non_fixed_point():
     with pytest.raises(ValueError, match="not a fixed point"):
         classify_at(std_map(), F(1), Place.real())
+
+
+def test_non_fixed_points_raise_value_error():
+    """Infinity, the pole and any other non-fixed point are rejected with
+    the same message at every entry point and place."""
+    f = std_map()  # fixed points 3/2 and 0; pole -1/2; f(inf) = 2
+    cases = [(INFINITY, "inf"), (-f.d / f.c, "-1/2"), (F(1), "1")]
+    calls = (
+        lambda x: classify_at(f, x, Place.real()),
+        lambda x: classify_at(f, x, Place.finite(2)),
+        lambda x: exceptional_primes(f, x),
+    )
+    for x, text in cases:
+        for call in calls:
+            with pytest.raises(ValueError) as excinfo:
+                call(x)
+            assert str(excinfo.value) == f"not a fixed point: f({text}) != {text}"
 
 
 def test_exceptional_primes_worked():
@@ -198,6 +217,72 @@ def test_adelic_report_matches_per_point_classification(fp):
             assert g.derivative_norm == w.derivative_norm
             assert str(g.derivative_norm) == str(w.derivative_norm)
         assert got.to_json_dict() == want.to_json_dict()
+
+
+family_or_fused = st.builds(
+    FamilyParameter,
+    t=st.one_of(st.just(F(0)), t_values),
+    sign=st.sampled_from((1, -1)),
+    a=small_rationals,
+    c=nonzero_small,
+)
+BIG_PRIME = 9_999_999_967
+ORACLE_PLACES = (Place.real(), *(Place.finite(p) for p in (2, 3, 5, 7, BIG_PRIME)))
+# c*xi + d = 3/p and p/3 at the two fixed points: a 34-bit exceptional prime
+BIG_PRIME_MAP = FamilyParameter(F(BIG_PRIME - 3, BIG_PRIME + 3), 1, F(2), F(3))
+
+
+def fixed_points_of(f):
+    result = f.fixed_points()
+    return [result.point1, result.point2] if isinstance(result, RationalPair) else [result.point]
+
+
+def fraction_report(f, xi, place):
+    """The report at place through Fraction arithmetic: f'(xi) = 1/(c*xi + d)**2."""
+    derivative_norm = norm(1 / (f.c * xi + f.d) ** 2, place)
+    value = derivative_norm.value
+    verdict = Verdict.ATTRACTOR if value < 1 else Verdict.REPELLER if value > 1 else Verdict.INDIFFERENT
+    return PlaceReport(place, derivative_norm, verdict)
+
+
+@given(family_or_fused)
+@example(FamilyParameter(t=F(0), sign=1, a=F(2), c=F(1)))
+@example(FamilyParameter(t=F(0), sign=-1, a=F(1, 2), c=F(5)))
+@example(FamilyParameter(t=F(-3, 7), sign=-1, a=F(0), c=F(-12, 5)))
+@example(BIG_PRIME_MAP)
+def test_classify_at_matches_fraction_derivative(fp):
+    f = from_parameter(fp)
+    for xi in fixed_points_of(f):
+        for place in ORACLE_PLACES:
+            got, want = classify_at(f, xi, place), fraction_report(f, xi, place)
+            assert got.place == want.place
+            assert got.verdict is want.verdict
+            assert got.derivative_norm == want.derivative_norm
+            assert type(got.derivative_norm.value) is type(want.derivative_norm.value)
+            assert str(got.derivative_norm) == str(want.derivative_norm)
+            assert got == want and repr(got) == repr(want)
+
+
+@given(family_or_fused, st.one_of(small_rationals, st.just(INFINITY)))
+@example(FamilyParameter(t=F(0), sign=1, a=F(2), c=F(1)), INFINITY)
+@example(BIG_PRIME_MAP, F(0))
+def test_product_formula_and_adelic_image(fp, x):
+    """prod_v |f'(xi)|_v = 1 for every report, and check_adelic_image lists
+    the primes where the Fraction image f(x) has negative valuation; at
+    the pole it raises."""
+    f = from_parameter(fp)
+    for report in adelic_report(f):
+        product = report.real_report.derivative_norm.value
+        for r in report.exceptional:
+            product *= F(r.place.prime) ** r.derivative_norm.exponent
+        assert product == 1
+    for point in (x, -f.d / f.c):
+        image = f.apply(point)
+        if image is INFINITY:
+            with pytest.raises(ValueError, match="pole"):
+                check_adelic_image(f, point)
+        else:
+            assert check_adelic_image(f, point) == [p for p, v in principal_profile(image).items() if v < 0]
 
 
 def factor_inputs(monkeypatch, f):

@@ -147,6 +147,17 @@ def test_fixed_points_irrational():
     assert result.discriminant == F(-3)
 
 
+def test_require_fixed_accepts_fixed_points_only():
+    f = std_map()  # fixed points 3/2 and 0; pole -1/2; f(inf) = 2
+    f.require_fixed(F(3, 2))
+    f.require_fixed(F(0))
+    cases = [(INFINITY, "inf"), (-f.d / f.c, "-1/2"), (F(1), "1"), (F(2), "2")]
+    for x, text in cases:
+        with pytest.raises(ValueError) as excinfo:
+            f.require_fixed(x)
+        assert str(excinfo.value) == f"not a fixed point: f({text}) != {text}"
+
+
 def test_pair_relations_worked():
     f = std_map()
     result = f.fixed_points()

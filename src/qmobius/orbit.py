@@ -5,28 +5,32 @@ the point at infinity and the next step continues at a/c, so nothing is
 ever approximated or dropped.  Mat2.apply acts on one point; an orbit
 steps in integer homogeneous coordinates instead, a coprime pair (p : q)
 under an integer multiple of the map's matrix, reduced each step by one
-gcd against a number of fixed size.  Per-place distance traces, the
-invariant-sphere test around indifferent points and basin-of-attraction
-sampling read |x_k - xi|_v off that pair: with xi = r/s,
-x_k - xi = (p*s - r*q)/(q*s), so vp(x_k - xi) = vp(p*s - r*q) - vp(q*s)
-at a prime and |x_k - xi| = |p*s - r*q|/|q*s| at the real place, and no
-point is built as a Fraction.
+gcd against a number of fixed size.
+
+Per-place distance traces, the invariant-sphere test around indifferent
+points and basin-of-attraction sampling read |x_k - xi|_v without
+building a Fraction point.  At a prime, vp(x_k - xi) for k = 0..n comes
+in closed form from the multiplier at xi (_padic_valuations), with no
+orbit stepped: each entry is an integer expression in k, and at most
+one step needs an exact product.  The real place still steps the orbit
+and reads |x_k - xi| = |p*s - r*q|/|q*s| off the pair, with xi = r/s.
 
 Exact entries of matrix powers can grow without bound for hyperbolic
 maps, so every orbit runs under the fixed bit-size budget DEFAULT_MAX_BITS
-and fails loudly with SizeBudgetError instead of hanging.
+and fails loudly with SizeBudgetError instead of hanging; a closed-form
+reading fails the same way, at the same step.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 
 from .classify import Verdict, classify_at
-from .mobius import INFINITY, Infinity, MobiusMap, ProjectivePoint, _integer_matrix, format_point
-from .padic import NormValue, Place, vp
+from .mobius import INFINITY, Infinity, MobiusMap, ProjectivePoint, _fixed_pair, _integer_matrix, format_point
+from .padic import NormValue, Place, _vp_int, vp
 
 __all__ = [
     "BasinPoint",
@@ -136,6 +140,11 @@ def _require_length(n: int) -> None:
         raise ValueError(f"orbit length must be >= 1: got {n}")
 
 
+def _coordinates(x: ProjectivePoint) -> tuple[int, int]:
+    """The coprime pair (p, q) with x = p/q, q > 0; infinity is (1, 0)."""
+    return (1, 0) if isinstance(x, Infinity) else (x.numerator, x.denominator)
+
+
 def _pairs(
     matrix: tuple[int, int, int, int, int], x0: ProjectivePoint, n: int
 ) -> Iterator[tuple[int, int]]:
@@ -158,7 +167,7 @@ def _pairs(
     _require_length(n)
     A, B, C, D, L = matrix
     det = L * L
-    p, q = (1, 0) if isinstance(x0, Infinity) else (x0.numerator, x0.denominator)
+    p, q = _coordinates(x0)
     yield p, q
     for k in range(1, n + 1):
         p, q = A * p + B * q, C * p + D * q
@@ -170,6 +179,130 @@ def _pairs(
                 f"orbit exceeded size budget: step {k} needs {bits} bits (max {DEFAULT_MAX_BITS})"
             )
         yield p, q
+
+
+def _progression_valuations(a: int, b: int, count: int, prime: int, top: int) -> list[int | float]:
+    """[top - vp(a + k*b) for k in range(count)], for b prime to prime.
+
+    An entry is -inf where a + k*b = 0.  Only the k = k0 (mod prime),
+    k0 = -a/b mod prime, have prime | a + k*b, and for k = k0 + prime*j,
+    a + k*b = prime*(a1 + j*b) with a1 = (a + k0*b)/prime: the same
+    progression with top - 1 and ceil((count - k0)/prime) terms, fewer
+    than count when count > 1.  So the recursion ends, after about
+    log(count)/log(prime) levels, and fills each level by one slice.
+    """
+    if count == 1:
+        return [top - vp(a, prime)]
+    values: list[int | float] = [top] * count
+    k0 = -a * pow(b, -1, prime) % prime
+    if k0 < count:
+        values[k0::prime] = _progression_valuations((a + k0 * b) // prime, b, -((k0 - count) // prime), prime, top - 1)
+    return values
+
+
+def _padic_valuations(
+    f: MobiusMap, xi: Fraction, prime: int, n: int
+) -> Callable[[int, int], list[int | float | None]]:
+    """The reader (p0, q0) -> [vp(x_k - xi) for k = 0..n] at prime, no orbit.
+
+    An entry is None where x_k is infinity and math.inf where x_k = xi.
+    The facts of f and xi are computed once, here, and shared by every
+    start the reader is given.  Write xi = r/s, c*xi + d = P/Q (from
+    _fixed_pair, which rejects a non-fixed xi), M = (A, B; C, D) = L*F,
+    and x0 = p0/q0, infinity when q0 = 0.  p0 and q0 need not be coprime:
+    every reading below is homogeneous in them.  N0 = p0*s - r*q0 is 0
+    exactly at x0 = xi, which f fixes, so every entry is then inf.  The
+    roots of C*x**2 + (D - A)*x - B sum to (A - D)/C, so the partner
+    fixed point is xi' = (A - D)/C - xi = r2/s2 with r2 = (A - D)*s - C*r
+    and s2 = C*s.  Proof of the two readings: f(xi) = xi and det F = 1
+    give f(x) - xi = (x - xi)/((c*xi + d)*(c*x + d)), and the same at xi'.
+
+    Fused, xi' = xi.  Then a + d = +-2 and c*xi + d = (a + d)/2 = +-1, so
+    1/(f(x) - xi) = (c*xi + d)**2/(x - xi) + c*(c*xi + d) = 1/(x - xi) + K
+    with K = c/(c*xi + d) = C*s/P, and 1/(x_k - xi) = 1/(x0 - xi) + k*K =
+    s*t_k/(N0*P) with t_k = q0*P + k*C*N0.  Hence vp(x_k - xi) = vp(N0) +
+    vp(P) - vp(s) - vp(t_k), and x_k is infinity exactly when t_k = 0.
+    When vp(t_0) < vp(C*N0), every t_k has the valuation of t_0; else
+    t_k/p**w, w = vp(C*N0), is a progression with a unit step, read by
+    _progression_valuations.
+
+    Pair, xi' != xi.  (c*xi + d)*(c*xi' + d) = c**2*xi*xi' + c*d*(xi + xi')
+    + d**2 = -b*c + d*(a - d) + d**2 = 1, so g(x) = (x - xi)/(x - xi')
+    has g(f(x)) = g(x)*(c*xi' + d)/(c*xi + d) = mu*g(x), with
+    mu = f'(xi) = (Q/P)**2, and g(infinity) = 1.  Solving y = g(x) for x
+    gives x - xi = (xi - xi')*y/(1 - y), where y = 1 is x = infinity; so
+    with y_k = mu**k*g(x0) and v_k = vp(y_k) = k*vp(mu) + vp(g(x0)),
+    vp(x_k - xi) = vp(xi - xi') + v_k - vp(1 - y_k).  When v_k != 0,
+    vp(1 - y_k) = min(0, v_k), and the entry is vp(xi - xi') + max(0, v_k).
+    With N2 = p0*s2 - r2*q0 (0 exactly at x0 = xi', which stays put),
+    g(x0) = G/H with G = N0*s2 and H = N2*s.  When vp(mu) != 0, v_k = 0 at
+    one k at most, where 1 - y_k = (P**2k*H - Q**2k*G)/(P**2k*H) is
+    computed exactly.  When vp(mu) = 0 = vp(g(x0)), every step would need
+    it, and the orbit is stepped instead.
+
+    The bit budget holds without an orbit.  |A*p + B*q| and |C*p + D*q|
+    are at most G_M*max(|p|, |q|) with G_M = max(|A| + |B|, |C| + |D|), and
+    the gcd only shrinks the pair, so the pair of x_k has at most
+    2*(bit_length(max(|p0|, |q0|)) + k*bit_length(G_M)) bits, and fewer
+    still when p0 and q0 share a factor.  When that fits DEFAULT_MAX_BITS
+    at k = n, no step of _pairs could raise; else the orbit is stepped
+    through _pairs from the reduced x0, which raises SizeBudgetError at
+    the same step as any other reader.  n < 1 raises ValueError.
+    """
+    _require_length(n)
+    matrix = _integer_matrix(f)
+    A, B, C, D, _ = matrix
+    P, Q = _fixed_pair(f, xi)
+    r, s = xi.numerator, xi.denominator
+    r2, s2 = (A - D) * s - C * r, C * s
+    fused = r2 * s == r * s2
+    grow = max(abs(A) + abs(B), abs(C) + abs(D)).bit_length()
+    v_P, v_s = _vp_int(P, prime), _vp_int(s, prime)
+    if not fused:
+        v_mu = 2 * (_vp_int(Q, prime) - v_P)
+        v_gap = _vp_int(r * s2 - r2 * s, prime) - v_s - _vp_int(s2, prime)
+
+    def stepped(p0: int, q0: int) -> list[int | float | None]:
+        x0 = Fraction(p0, q0) if q0 else INFINITY
+        return [
+            None if not q else inf if (num := y * s - r * q) == 0 else _vp_int(num, prime) - _vp_int(q * s, prime)
+            for y, q in _pairs(matrix, x0, n)
+        ]
+
+    def read(p0: int, q0: int) -> list[int | float | None]:
+        if 2 * (max(abs(p0), abs(q0)).bit_length() + n * grow) > DEFAULT_MAX_BITS:
+            return stepped(p0, q0)
+        N0 = p0 * s - r * q0
+        if N0 == 0:
+            return [inf] * (n + 1)
+        if fused:
+            base = _vp_int(N0, prime) + v_P - v_s
+            t0, m = q0 * P, C * N0
+            v_t0, w = vp(t0, prime), _vp_int(m, prime)
+            if v_t0 < w:
+                return [base - v_t0] * (n + 1)
+            unit = prime**w
+            values = _progression_valuations(t0 // unit, m // unit, n + 1, prime, base - w)
+            k, rem = divmod(-t0, m)
+            if rem == 0 and 0 <= k <= n:  # t_k = 0
+                values[k] = None
+            return values
+        N2 = p0 * s2 - r2 * q0
+        if N2 == 0:
+            return [v_gap] * (n + 1)
+        G, H = N0 * s2, N2 * s
+        v_H = _vp_int(H, prime)
+        v_g = _vp_int(G, prime) - v_H
+        if v_mu == 0:
+            return [v_gap + max(0, v_g)] * (n + 1) if v_g else stepped(p0, q0)
+        values = [v_gap + max(0, v) for v in range(v_g, v_g + (n + 1) * v_mu, v_mu)]
+        k, rem = divmod(-v_g, v_mu)
+        if rem == 0 and 0 <= k <= n:  # v_k = 0: read 1 - y_k exactly
+            num = P ** (2 * k) * H - Q ** (2 * k) * G
+            values[k] = None if num == 0 else v_gap - _vp_int(num, prime) + 2 * k * v_P + v_H
+        return values
+
+    return read
 
 
 def run_orbit(f: MobiusMap, x0: ProjectivePoint, n: int) -> OrbitRecord:
@@ -200,33 +333,27 @@ def distance_trace(
     """Exact |x_k - xi|_v for k = 0..n; xi must be a fixed point of f.
 
     With xi = r/s and x_k = p/q, an entry is |p*s - r*q|/|q*s| at the
-    real place and p**(vp(q*s) - vp(p*s - r*q)) at a prime, where one
+    real place, read off the stepped orbit.  At a prime it is
+    p**-vp(x_k - xi), with the valuations of _padic_valuations, where one
     (frozen) NormValue is built per distinct exponent and shared by the
     steps that have it; on a fused map the exponent takes few values.
     The steps at xi share one zero norm; an entry at infinity is None.
     """
     f.require_fixed(xi)
-    r, s = xi.numerator, xi.denominator
-    pairs = _pairs(_integer_matrix(f), x0, n)
     prime = place.prime
     if prime is None:
+        r, s = xi.numerator, xi.denominator
         distances = tuple(
-            NormValue(value=Fraction(abs(p * s - r * q), abs(q * s))) if q else None for p, q in pairs
+            NormValue(value=Fraction(abs(p * s - r * q), abs(q * s))) if q else None
+            for p, q in _pairs(_integer_matrix(f), x0, n)
         )
         return DistanceTrace(place=place, center=xi, values=distances)
-    zero = NormValue(value=Fraction(0), prime=prime)
-    norms: dict[int, NormValue] = {}
+    norms: dict[int | float, NormValue] = {inf: NormValue(value=Fraction(0), prime=prime)}
     values: list[NormValue | None] = []
-    for p, q in pairs:
-        if not q:
-            values.append(None)
-        elif (num := p * s - r * q) == 0:
-            values.append(zero)
-        else:
-            e = vp(q * s, prime) - vp(num, prime)
-            if e not in norms:
-                norms[e] = NormValue.p_power(prime, e)
-            values.append(norms[e])
+    for v in _padic_valuations(f, xi, prime, n)(*_coordinates(x0)):
+        if v is not None and v not in norms:
+            norms[v] = NormValue.p_power(prime, -v)
+        values.append(None if v is None else norms[v])
     return DistanceTrace(place=place, center=xi, values=tuple(values))
 
 
@@ -242,10 +369,12 @@ def invariant_sphere_check(
 
     Initial points xi + u*p**(-rho_exponent) for units u = 1, ...,
     min(samples, p-1) lie on the sphere by construction.  Each orbit is
-    followed for n steps, all of them computed before any is tested, so
-    the bit budget covers every step.  With xi = r/s, an iterate
-    x_k = y/z leaves the sphere when z = 0 (infinity) or
-    vp(x_k - xi) = vp(y*s - r*z) - vp(z*s) != -rho_exponent.  Returns
+    read for n steps by _padic_valuations, all of them before any is
+    tested, so the bit budget covers every step; the facts of f and xi
+    are computed once for all samples.  An iterate x_k leaves the sphere
+    when it is infinity or vp(x_k - xi) != -rho_exponent.  A sample
+    steps its orbit only around an indifferent pair point, where
+    vp(g(x0)) = 0 (see _padic_valuations), or past the bit bound.  Returns
     (True, None) when all stay put, otherwise (False, (x0, k)) for the
     first departing sample and step.  Meant for indifferent fixed
     points, though not every sphere around a repeller is left: by
@@ -259,13 +388,14 @@ def invariant_sphere_check(
     if samples < 1:
         raise ValueError(f"need at least one sample: got {samples}")
     step = Fraction(p) ** (-rho_exponent)
-    matrix, r, s = _integer_matrix(f), xi.numerator, xi.denominator
+    valuations = _padic_valuations(f, xi, p, n)
+    r, s = xi.numerator, xi.denominator
+    on_sphere = [-rho_exponent] * (n + 1)
     for u in range(1, min(samples, p - 1) + 1):
-        # xi + u*step, with one normalising gcd
-        x0 = Fraction(r * step.denominator + u * step.numerator * s, s * step.denominator)
-        for k, (y, z) in enumerate(list(_pairs(matrix, x0, n))):
-            if z == 0 or vp(y * s - r * z, p) - vp(z * s, p) != -rho_exponent:
-                return False, (x0, k)
+        # x0 = xi + u*step, reduced by Fraction only when it is reported
+        p0, q0 = r * step.denominator + u * step.numerator * s, s * step.denominator
+        if (trace := valuations(p0, q0)) != on_sphere:  # None (infinity) is off every sphere
+            return False, (Fraction(p0, q0), next(k for k, v in enumerate(trace) if v != -rho_exponent))
     return True, None
 
 
@@ -281,9 +411,10 @@ def basin_sample(
     The grid point xi itself converges at step 0.  An orbit that passes
     through the pole is marked and judged on its segment after the last
     pole passage; one that ends at infinity has no segment and does not
-    converge.  The distance of x_k = p/q from xi = r/s is read off
-    x_k - xi = (p*s - r*q)/(q*s): it is |x_k - xi| at the real place
-    and the exponent -vp(x_k - xi) of |x_k - xi|_p at a finite one.
+    converge.  The distance of x_k from xi is |x_k - xi| at the real
+    place, read off x_k - xi = (p*s - r*q)/(q*s) for x_k = p/q and
+    xi = r/s, and the exponent -vp(x_k - xi) of |x_k - xi|_p at a finite
+    one, from _padic_valuations.
     The orbit converges when the distance falls strictly over the final
     quarter of the segment and its last point meets the bound:
     |x_k - xi| < DEFAULT_REAL_THRESHOLD at the real place, a drop of at
@@ -295,26 +426,33 @@ def basin_sample(
     if classify_at(f, xi, place).verdict is not Verdict.ATTRACTOR:
         raise ValueError("basin undefined for non-attracting point")
     _require_length(n)
-    matrix, r, s = _integer_matrix(f), xi.numerator, xi.denominator
+    if place.prime is None:
+        matrix, r, s = _integer_matrix(f), xi.numerator, xi.denominator
+
+        def distances(x0: Fraction) -> list:
+            return [Fraction(abs(p * s - r * q), abs(q * s)) if q else None for p, q in _pairs(matrix, x0, n)]
+
+    else:
+        valuations = _padic_valuations(f, xi, place.prime, n)
+
+        def distances(x0: Fraction) -> list:
+            return [None if v is None else -v for v in valuations(*_coordinates(x0))]
+
     tested = []
     for x0 in grid:
         if x0 == xi:  # f is a bijection fixing xi, so no other orbit reaches it
             tested.append(BasinPoint(x0, True, 0, False))
             continue
-        diffs = [(p * s - r * q, q * s) for p, q in _pairs(matrix, x0, n)]
-        poles = [k for k, (_, den) in enumerate(diffs) if den == 0]
+        orbit = distances(x0)
+        poles = [k for k, d in enumerate(orbit) if d is None]
         start = poles[-1] + 1 if poles else 0
-        tail = diffs[start:]
-        if not tail:  # the orbit ends at infinity
+        dist = orbit[start:]
+        if not dist:  # the orbit ends at infinity
             tested.append(BasinPoint(x0, False, n, True))
             continue
-        if place.prime is None:
-            dist = [Fraction(abs(num), abs(den)) for num, den in tail]
-            bound = DEFAULT_REAL_THRESHOLD
-        else:  # integer exponents: d < bound is a drop of at least the gain
-            dist = [vp(den, place.prime) - vp(num, place.prime) for num, den in tail]
-            bound = dist[0] - DEFAULT_VALUATION_GAIN + 1
-        last = len(tail) - 1
+        # integer exponents at a prime: d < bound is a drop of at least the gain
+        bound = DEFAULT_REAL_THRESHOLD if place.prime is None else dist[0] - DEFAULT_VALUATION_GAIN + 1
+        last = len(dist) - 1
         falling = all(dist[k + 1] < dist[k] for k in range(3 * last // 4, last))
         steps = next((k for k, d in enumerate(dist) if d < bound), last)
         tested.append(BasinPoint(x0, dist[last] < bound and falling, start + steps, bool(poles)))

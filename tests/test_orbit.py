@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qmobius.classify import Verdict, classify_at
 from qmobius.mobius import (
@@ -13,6 +13,7 @@ from qmobius.mobius import (
     MobiusMap,
     RationalDouble,
     RationalPair,
+    _integer_matrix,
     case_C,
     case_C_sub,
     case_D,
@@ -25,12 +26,13 @@ from qmobius.orbit import (
     DEFAULT_VALUATION_GAIN,
     BasinPoint,
     SizeBudgetError,
+    _pairs,
     basin_sample,
     distance_trace,
     invariant_sphere_check,
     run_orbit,
 )
-from qmobius.padic import Place, norm, on_sphere
+from qmobius.padic import Place, norm, on_sphere, vp
 
 F = Fraction
 
@@ -447,3 +449,101 @@ def test_pair_reading_matches_fraction_reading(f, data, n):
     for place in PLACES:
         if classify_at(f, xi, place).verdict is Verdict.ATTRACTOR:
             assert basin_sample(f, xi, place, grid, n).tested == _reference_basin(f, xi, place, grid, n)
+
+
+# Starts at which the closed form of the p-adic readers takes its rare
+# branches: a preimage of infinity puts y_k = 1 at the one step with
+# v_k = 0 (or the fused t_k at 0), infinity starts with g = 1 (or t_0 = 0),
+# xi +- p**j and a/c move vp(g(x0)), the partner stays put, and at an
+# indifferent pair point with vp(g(x0)) = 0 the orbit is stepped.
+def _preimage_of_infinity(f, k):
+    """f**-k(infinity), or None when f**k fixes infinity."""
+    x = MobiusMap(f.d, -f.b, -f.c, f.a).power(k).apply(INFINITY)
+    return None if isinstance(x, Infinity) else x
+
+
+PRIMES = (2, 3, 5, 7, 97)
+any_maps = st.one_of(st.builds(from_parameter, parameters), fused_maps)
+
+
+def _fixed_list(f):
+    fixed = f.fixed_points()
+    return [fixed.point] if isinstance(fixed, RationalDouble) else [fixed.point1, fixed.point2]
+
+
+@given(
+    any_maps,
+    st.sampled_from(PRIMES),
+    st.integers(0, 1),
+    st.sampled_from(("preimage", "inf", "xi+", "xi-", "partner", "a/c")),
+    st.integers(-6, 6),
+    st.integers(1, 40),
+    st.integers(1, 40),
+)
+# xi = 0 attracts at 2 with vp(mu) = 2: from the pole, v_1 = 0 and x_1 = infinity
+@example(MobiusMap.make(2, 0, 1, F(1, 2)), 2, 1, "preimage", 0, 1, 12)
+@example(MobiusMap.make(2, 0, 1, F(1, 2)), 2, 1, "preimage", 0, 5, 12)
+# v_k = 0 off the pole: from 1/4 at k = 0, and toward the repeller 3/2
+# (vp(mu) = -2, vp(P) = 3) from 7/2 at k = 1
+@example(MobiusMap.make(2, 0, 1, F(1, 2)), 2, 1, "xi+", -2, 1, 12)
+@example(MobiusMap.make(2, 0, 1, F(1, 2)), 2, 0, "xi+", 1, 1, 12)
+# at 3, vp(mu) = vp(4) = 0 and g(1) = -2 is a unit: the stepped reading
+@example(MobiusMap.make(2, 0, 1, F(1, 2)), 3, 1, "xi+", 0, 1, 12)
+def test_closed_form_matches_fraction_reading_at_its_edges(f, p, index, kind, j, k, n):
+    fixed = _fixed_list(f)
+    xi, partner = fixed[index % len(fixed)], fixed[(index + 1) % len(fixed)]
+    x0 = {
+        "preimage": _preimage_of_infinity(f, min(k, n)),
+        "inf": INFINITY,
+        "xi+": xi + F(p) ** j,
+        "xi-": xi - F(p) ** j,
+        "partner": partner,
+        "a/c": f.a / f.c,
+    }[kind]
+    assume(x0 is not None)
+    place = Place.finite(p)
+    assert distance_trace(f, x0, xi, place, n).values == _fraction_trace(f, x0, xi, place, n)
+    if classify_at(f, xi, place).verdict is Verdict.ATTRACTOR:
+        grid = [x for x in (x0, partner, f.a / f.c, -f.d / f.c, xi + F(p) ** j) if not isinstance(x, Infinity)]
+        assert basin_sample(f, xi, place, grid, n).tested == _reference_basin(f, xi, place, grid, n)
+
+
+@given(any_maps, st.one_of(small_rationals, st.just(INFINITY)), st.integers(1, 40))
+@example(budget_map(), F(1), 3)
+def test_pairs_stay_within_the_closed_form_bit_bound(f, x0, n):
+    """x_k's pair has at most 2*(bit_length(max(|p0|, |q0|)) + k*grow) bits."""
+    matrix = _integer_matrix(f)
+    A, B, C, D, _ = matrix
+    grow = max(abs(A) + abs(B), abs(C) + abs(D)).bit_length()
+    p0, q0 = (1, 0) if isinstance(x0, Infinity) else (x0.numerator, x0.denominator)
+    start = max(abs(p0), abs(q0)).bit_length()
+    for k, (p, q) in enumerate(_pairs(matrix, x0, n)):
+        assert p.bit_length() + q.bit_length() <= 2 * (start + k * grow)
+
+
+def test_budget_bound_admits_the_closed_form_up_to_its_boundary():
+    # grow = bit_length(A**2) = 6001 from x0 = 1: 2*(1 + 83*6001) fits the
+    # budget and 2*(1 + 84*6001) does not, so n = 84 steps the orbit
+    f, two = budget_map(), Place.finite(2)
+    assert distance_trace(f, F(1), F(0), two, 20).values == _fraction_trace(f, F(1), F(0), two, 20)
+    # x_1 = A**2/(A + 1) and mu = f'(0) = A**2, so v2(x_k) = 6000*k
+    assert distance_trace(f, F(1), F(0), two, 83).to_json_dict()["valuations"] == [6000 * k for k in range(84)]
+    with pytest.raises(SizeBudgetError, match=r"step 84 needs 1005002 bits \(max 1000000\)"):
+        distance_trace(f, F(1), F(0), two, 84)
+
+
+@settings(deadline=None)  # at p = 97 the oracle follows 96 Fraction orbits
+@given(any_maps, st.sampled_from(PRIMES), st.integers(0, 1), st.sampled_from((1, 2, None)), st.integers(1, 12))
+# the benchmark's shape: every unit of 97 as a sample, ten steps
+@example(case_C(F(2), F(1)), 97, 0, None, 10)
+@example(case_D(F(1, 2), F(97)), 97, 0, None, 10)
+def test_sphere_check_matches_fraction_sphere_around_indifferent_points(f, p, index, samples, n):
+    """Spheres of exponent vp(c) - 1, vp(c) and vp(c) + 1; None samples every unit."""
+    place = Place.finite(p)
+    indifferent = [x for x in _fixed_list(f) if classify_at(f, x, place).verdict is Verdict.INDIFFERENT]
+    assume(indifferent)
+    xi = indifferent[index % len(indifferent)]
+    samples = samples or p - 1
+    vc = vp(f.c, p)
+    for e in (vc - 1, vc, vc + 1):
+        assert invariant_sphere_check(f, xi, p, e, samples, n) == _fraction_sphere(f, xi, p, e, samples, n)
